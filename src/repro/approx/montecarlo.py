@@ -75,12 +75,28 @@ def candidate_domains(query: ConjunctiveQuery, database: Database
     homomorphism solver's initial domains, restricted to free variables.
     """
     domains: Dict[Variable, set] = {}
+    free = query.free_variables
     for atom in query.atoms_sorted():
-        matched = SubstitutionSet.from_atom(atom, database[atom.relation])
-        for variable in matched.schema:
-            if variable not in query.free_variables:
-                continue
-            values = {row[0] for row in matched.project([variable]).rows}
+        relation = database[atom.relation]
+        positions: Dict[Variable, int] = {}
+        for position, term in enumerate(atom.terms):
+            if term in free and term not in positions:
+                positions[term] = position
+        if len(set(atom.terms)) == atom.arity == relation.arity and all(
+                isinstance(term, Variable) for term in atom.terms):
+            # No constant or repeated variable selects rows: the
+            # projections are plain columns, cached on the relation.
+            statistics = relation.statistics()
+            columns = {variable: statistics.values(position)
+                       for variable, position in positions.items()}
+        else:
+            matched = SubstitutionSet.from_atom(atom, relation)
+            columns = {
+                variable: {row[0]
+                           for row in matched.project([variable]).rows}
+                for variable in positions
+            }
+        for variable, values in columns.items():
             if variable in domains:
                 domains[variable] &= values
             else:

@@ -17,10 +17,9 @@ reduced maintainer's refresh pass execute on every read.
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import FrozenSet, List, Sequence, Set, Tuple
 
-from ..db.algebra import _row_getter
+from ..db.algebra import _key_getter
 from ..db.database import Database
 from ..hypergraph.acyclicity import JoinTree
 from ..query.query import ConjunctiveQuery
@@ -28,26 +27,6 @@ from ..query.terms import Variable
 from .delta import DeltaReducer
 from .pairwise import pairwise_consistency
 from .views import hypertree_view_set, standard_view_extension
-
-
-#: Scalar probe-key extractors shared across reducer instances.  Probe
-#: keys never leave :meth:`CompiledReducer.reduce`, so a single position
-#: can yield the bare value (C-speed ``itemgetter``, scalar hashing);
-#: memoizing keeps getter *identity* stable, which the per-call key-set
-#: cache keys on.  Kept separate from ``algebra._GETTER_MEMO`` — that
-#: one maps the same positions to tuple-producing extractors.
-_KEY_MEMO: dict = {}
-
-
-def _key_getter(positions: Tuple[int, ...]):
-    getter = _KEY_MEMO.get(positions)
-    if getter is None:
-        if len(positions) == 1:
-            getter = itemgetter(positions[0])
-        else:
-            getter = _row_getter(positions)
-        _KEY_MEMO[positions] = getter
-    return getter
 
 
 class CompiledReducer:

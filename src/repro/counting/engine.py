@@ -74,7 +74,15 @@ from ..query.canonical import CanonicalForm
 from ..query.query import ConjunctiveQuery
 from .acyclic import count_acyclic
 from .brute_force import count_brute_force
-from .compile import compiled_enabled, link, lower_acyclic, lower_structural
+from .compile import (
+    compiled_enabled,
+    describe_bags,
+    estimate_units,
+    link,
+    lower_acyclic,
+    lower_structural,
+    runs_columnar,
+)
 from .hybrid import count_with_hybrid_decomposition
 from .plan_cache import PlanCache, default_plan_cache, relation_content_tag
 from .sharp_relations import count_via_hypertree
@@ -339,15 +347,24 @@ def _compiled_estimate(ctx: StrategyContext) -> float:
     # Ranking heuristic: same asymptotics as the interpreted join-tree
     # DP, minus the per-execution schema interpretation — rank it ahead
     # of acyclic.  Under a deadline the figure doubles as an admission
-    # bound, so it must be honest about *work*: a compiled structural
-    # program still materializes its bags, so a cyclic or quantified
-    # shape is charged like the structural strategy (halved for the
-    # compiled execution), not like a linear join-tree pass.
-    if ctx.deadline_ms is not None and not (
-            ctx.query.is_quantifier_free()
-            and is_acyclic(ctx.query.hypergraph())):
+    # bound, so a structural program is priced by its own work: the
+    # tuple path's generic-join bags, reduction and DP, from relation
+    # statistics (fetching the program is the same plan-cache lookup
+    # the applicability probe makes next).  The columnar rendition
+    # still folds its bags pairwise, so there it is charged like the
+    # structural strategy (halved for the compiled execution).  An
+    # acyclic program is a linear join-tree pass either way.
+    if ctx.deadline_ms is None:
+        return 0.5 * ctx.total_rows
+    witness = _compiled_applicable(ctx)
+    if witness is None:
         return 0.5 * _structural_estimate(ctx)
-    return 0.5 * ctx.total_rows
+    program, _cached = witness
+    if program.kind == "acyclic":
+        return 0.5 * ctx.total_rows
+    if runs_columnar(program, ctx.database):
+        return 0.5 * _structural_estimate(ctx)
+    return estimate_units(program, ctx.database)
 
 
 def _compiled_run(ctx: StrategyContext, witness: object
@@ -360,6 +377,7 @@ def _compiled_run(ctx: StrategyContext, witness: object
         "compiled_kind": program.kind,
         "artifact_cached": artifact_cached,
         "bags": len(program.bags),
+        "bag_kernels": describe_bags(program),
     }
     if program.width is not None:
         details["width"] = program.width
@@ -614,10 +632,12 @@ def _approx_run(ctx: StrategyContext, witness: object
     delta = APPROX_DEFAULT_DELTA
     # Deterministic seed from (shape, database content, sample count):
     # inline, thread, and process shards — and any replay of the same
-    # request — produce bit-identical estimates.
+    # request — produce bit-identical estimates.  Content enters through
+    # the per-relation digests memoized on the relations, so a repeated
+    # request never re-renders its rows.
     material = repr((
         ctx.fingerprint if ctx.fingerprint is not None else ctx.query.name,
-        ctx.database.content_fingerprint(),
+        ctx.content_tags(),
         samples,
     ))
     seed = int.from_bytes(
@@ -694,10 +714,15 @@ class CountResult:
             lines[-1] += f"  ({actual * 1e3:.1f} ms)"
         plain = {
             key: value for key, value in self.details.items()
-            if key not in ("decision_trail", "actual_seconds")
+            if key not in ("decision_trail", "actual_seconds", "bag_kernels")
         }
         for key, value in plain.items():
             lines.append(f"{key:<10}: {value}")
+        kernels = self.details.get("bag_kernels")
+        if kernels:
+            lines.append("bag kernels:")
+            for index, kernel in enumerate(kernels.split("; ")):
+                lines.append(f"  bag {index}: {kernel}")
         trail = self.details.get("decision_trail")
         if trail:
             lines.append("decision trail (cost-ranked):")
@@ -747,6 +772,19 @@ def _json_safe(value):
     return repr(value)
 
 
+def _render_bag(bag: Dict[str, object], names: Dict[str, str]) -> str:
+    """One :func:`~repro.counting.compile.describe_bags` entry in the
+    caller's variable names."""
+    text = f"{bag['kernel']} over {bag['scans']} scan(s)"
+    if "order" in bag:
+        text += ", order " + (", ".join(
+            names.get(name, name) for name in bag["order"]) or "-")
+        if bag["witness"]:
+            text += " | witness " + ", ".join(
+                names.get(name, name) for name in bag["witness"])
+    return text
+
+
 def _presentable_details(details: Dict[str, object],
                          form: CanonicalForm) -> Dict[str, object]:
     """Details in user space: canonical variable names translated back to
@@ -758,6 +796,11 @@ def _presentable_details(details: Dict[str, object],
         details["pseudo_free"] = sorted(
             names.get(name, name) for name in details["pseudo_free"]
         )
+    if "bag_kernels" in details:
+        # One compact string per result: results are kept by the
+        # thousand (batch outputs, stream replays).
+        details["bag_kernels"] = "; ".join(
+            _render_bag(bag, names) for bag in details["bag_kernels"])
     details["plan_fingerprint"] = form.digest
     return _json_safe(details)
 

@@ -66,6 +66,31 @@ def _row_getter(positions: Tuple[int, ...]):
     return getter
 
 
+#: Memo of :func:`_key_getter` extractors, kept apart from
+#: ``_GETTER_MEMO``: the same positions map to a *scalar* extractor here.
+_KEY_MEMO: Dict[Tuple[int, ...], object] = {}
+
+
+def _key_getter(positions: Tuple[int, ...]):
+    """A probe-key extractor: a single position yields the bare value.
+
+    Probe keys never leave the executor that builds them (compiled bag
+    indexes, DP aggregates, reducer key sets), so both sides of every
+    probe can agree on scalar keys — a bare ``itemgetter`` runs at C
+    speed and hashing a scalar beats hashing a 1-tuple.  Row *outputs*
+    keep :func:`_row_getter` (always a tuple).  Memoized, so getter
+    identity is stable for callers that key caches on it.
+    """
+    getter = _KEY_MEMO.get(positions)
+    if getter is None:
+        if len(positions) == 1:
+            getter = itemgetter(positions[0])
+        else:
+            getter = _row_getter(positions)
+        _KEY_MEMO[positions] = getter
+    return getter
+
+
 class SubstitutionSet:
     """A set of substitutions over a fixed, sorted schema of variables."""
 

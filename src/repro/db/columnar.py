@@ -193,8 +193,8 @@ class ColumnarStatistics(Statistics):
     """Relation statistics with O(1) distinct counts.
 
     A column's distinct-value count is its dictionary size — no hash
-    index build, no row scan.  Degrees still go through the generic
-    (cached) index path.
+    index build, no row scan.  Value sets and degrees are still computed
+    the generic (cached) way.
     """
 
     __slots__ = ()

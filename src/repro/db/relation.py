@@ -7,6 +7,7 @@ database value ``v`` when ``constant.value == v``.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Dict, Hashable, Iterable, Iterator, Tuple
 
 from ..exceptions import ArityMismatchError
@@ -112,9 +113,16 @@ class Relation:
         cached = self._indexes.get(positions)
         if cached is not None:
             return cached
+        if len(positions) == 1:
+            position = positions[0]
+            key_of = lambda row: (row[position],)  # noqa: E731
+        elif positions:
+            key_of = itemgetter(*positions)
+        else:
+            key_of = lambda row: ()  # noqa: E731
         buckets: Dict[Row, list] = {}
         for row in self._rows:
-            key = tuple(row[i] for i in positions)
+            key = key_of(row)
             bucket = buckets.get(key)
             if bucket is None:
                 buckets[key] = [row]

@@ -19,7 +19,9 @@ that reasoning automatic:
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
+from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from ..query.atom import Atom
@@ -33,16 +35,16 @@ class Statistics:
     """A cheap, lazily-computed statistics handle for one relation.
 
     Obtained via :meth:`Relation.statistics` (one cached instance per
-    relation); all figures are computed on demand from the relation's
-    cached column indexes, so asking twice costs nothing.  The engine's
-    cost model consumes these to rank counting strategies.
+    relation); each figure is computed on demand by one C-level pass
+    over the rows and cached, so asking twice costs nothing.  The
+    engine's cost model consumes these to rank counting strategies.
     """
 
-    __slots__ = ("relation", "_distinct", "_degrees")
+    __slots__ = ("relation", "_values", "_degrees")
 
     def __init__(self, relation: Relation):
         self.relation = relation
-        self._distinct: Dict[int, int] = {}
+        self._values: Dict[int, FrozenSet] = {}
         self._degrees: Dict[Tuple[int, ...], int] = {}
 
     @property
@@ -50,13 +52,18 @@ class Statistics:
         """``|r|``: the number of tuples."""
         return len(self.relation)
 
+    def values(self, position: int) -> FrozenSet:
+        """The distinct values in the column at *position* (cached: the
+        sampler's candidate domains read them on every request)."""
+        cached = self._values.get(position)
+        if cached is None:
+            cached = frozenset(map(itemgetter(position), self.relation))
+            self._values[position] = cached
+        return cached
+
     def distinct(self, position: int) -> int:
         """Number of distinct values in the column at *position*."""
-        cached = self._distinct.get(position)
-        if cached is None:
-            cached = len(self.relation.index_on((position,)))
-            self._distinct[position] = cached
-        return cached
+        return len(self.values(position))
 
     def distinct_counts(self) -> Tuple[int, ...]:
         """Distinct-value counts for every column."""
@@ -67,11 +74,16 @@ class Statistics:
         positions = tuple(positions)
         cached = self._degrees.get(positions)
         if cached is None:
-            cached = max(
-                (len(rows)
-                 for rows in self.relation.index_on(positions).values()),
-                default=0,
-            )
+            if not positions:
+                cached = len(self.relation)
+            else:
+                # Group sizes via a C-level Counter over the key column(s):
+                # no index of row tuples is built just to be measured.
+                cached = max(
+                    Counter(map(itemgetter(*positions), self.relation)
+                            ).values(),
+                    default=0,
+                )
             self._degrees[positions] = cached
         return cached
 

@@ -52,7 +52,11 @@ PLAN_FORMAT_VERSION = 1
 #: bumping it makes every stale artifact unreachable — no invalidation
 #: pass needed — while same-version artifacts keep warm-starting worker
 #: pools through the persistent tier.
-COMPILED_FORMAT_VERSION = 1
+#: Version 2: multi-part bags carry a generic-join plan (variable order,
+#: scan column slots, prefix edge covers) and drop hosted atoms their
+#: view already scans — version-1 artifacts lack the plan, so they are
+#: never looked up again.
+COMPILED_FORMAT_VERSION = 2
 
 #: Bump when the maintainer DP state changes incompatibly; stale
 #: checkpoints are then rejected and the DP is rebuilt from the database.

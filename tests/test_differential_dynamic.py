@@ -67,6 +67,7 @@ from repro.service.net import (
     ShardDirectory,
     ShardServer,
 )
+from repro.workloads.graph_patterns import heavy_triangle_database
 from repro.workloads.multi_writer import multi_writer_streams
 
 QUERY = parse_query("ans(A, B, C) :- r(A, B), s(B, C)")
@@ -706,11 +707,9 @@ class TestDifferentialApproxLeg:
         """A replayed stream mixing a heavy shape (deadline-degraded to
         approx) and a cheap one (stays exact) — the degradation is
         per-request honesty, never a blanket downgrade."""
-        heavy = Database.from_dict({
-            "r": [(i, (i * 7) % 500) for i in range(500)],
-            "s": [(i, (i * 11) % 500) for i in range(500)],
-            "t": [(i, (i * 13) % 500) for i in range(500)],
-        })
+        # Exact: ~6x the deadline; its own seed, as in
+        # test_session_admission.
+        heavy = heavy_triangle_database(seed=2)
         cheap_q = parse_query("ans(A, B) :- r(A, B)")
         current = heavy
         with MultiWriterSession(databases={"h": heavy}, shards=1,

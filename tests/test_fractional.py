@@ -1,8 +1,11 @@
 """Unit tests for fractional edge covers (Remark 4.4)."""
 
+from fractions import Fraction
+
 import pytest
 
 from repro.decomposition.fractional import (
+    cover_vertices,
     fractional_edge_cover_number,
     fractional_width_of_tree,
 )
@@ -61,3 +64,33 @@ class TestFractionalWidth:
 
     def test_width_of_empty_tree(self):
         assert fractional_width_of_tree(JoinTree((), ()), hg({A})) == 0.0
+
+
+class TestCoverVertices:
+    """The vertices priced by the compiled tier's AGM caps: their best
+    total weight is rho*, and every one is a feasible cover."""
+
+    @pytest.mark.parametrize("edges", [
+        ({A, B}, {B, C}, {C, A}),
+        ({A, B}, {B, C}, {C, D}, {D, A}),
+        ({A, B}, {B, C}, {C, D}, {D, E}, {E, A}),
+        ({A, B, C}, {C, D}, {A, D}, {B}),
+    ])
+    def test_best_vertex_is_rho_star(self, edges):
+        nodes = frozenset().union(*edges)
+        vertices = cover_vertices(nodes, [frozenset(e) for e in edges])
+        assert vertices
+        for weights in vertices:
+            for node in nodes:
+                assert sum(w for w, e in zip(weights, edges)
+                           if node in e) >= 1
+        rho = fractional_edge_cover_number(nodes, hg(*edges), exact=True)
+        assert float(min(sum(weights) for weights in vertices)) == \
+            pytest.approx(rho)
+
+    def test_triangle_has_the_half_cover(self):
+        edges = [frozenset({A, B}), frozenset({B, C}), frozenset({C, A})]
+        assert (Fraction(1, 2),) * 3 in cover_vertices({A, B, C}, edges)
+
+    def test_uncoverable_nodes_have_no_cover(self):
+        assert cover_vertices({A, E}, [frozenset({A, B})]) == []
