@@ -1141,14 +1141,6 @@ class _ColumnarProgram:
         self._dp = program.dp
         self._digest = program.digest
 
-    def supports(self, database: Database) -> bool:
-        """All scanned relations present, arity-consistent, columnar.
-
-        Missing relations / arity mismatches return ``False`` so the
-        tuple path raises its usual errors.
-        """
-        return _columnar_supported(self._bags, database)
-
     def _reduce(self, frames: list) -> list:
         """The :class:`~repro.consistency.local.CompiledReducer` schedule
         as frame semijoins (same sequential up/down passes)."""
@@ -1305,17 +1297,17 @@ class _Executable:
         )
 
     def count(self, database: Database) -> int:
-        columnar = self._columnar
-        if columnar is not False:
+        # The backend check comes first: a tuple database never builds
+        # the columnar rendition (nor imports numpy).
+        if (self._columnar is not False
+                and _columnar_supported(self.program.bags, database)):
             try:
-                if columnar is None:
-                    if columnar_kernels_available():
-                        columnar = _ColumnarProgram(self.program)
-                    else:
-                        columnar = False
-                    self._columnar = columnar
-                if columnar is not False and columnar.supports(database):
-                    return columnar.count(database)
+                if self._columnar is None:
+                    self._columnar = (_ColumnarProgram(self.program)
+                                      if columnar_kernels_available()
+                                      else False)
+                if self._columnar is not False:
+                    return self._columnar.count(database)
             except ColumnarFallback:
                 pass  # exactness first: rerun on the tuple path
         return self._tuple_count(database)

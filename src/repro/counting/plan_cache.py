@@ -112,16 +112,30 @@ def relation_content_tag(relation: Relation) -> str:
     set, so a plan computed over the shape-renamed database carries the
     same tag as the caller-facing relation — which is what lets a dynamic
     update, phrased in original relation names, invalidate plans cached
-    under canonical names.  The digest is memoized on the (immutable)
-    relation, so only the first request per relation version pays the
-    rendering cost.
+    under canonical names.  The digest is memoized in a cell shared by
+    every alias of the (immutable) relation version, so it is rendered
+    at most once per version, whichever alias asks first.
     """
-    tag = relation._content_tag
+    cell = relation._content_tag
+    tag = cell[0]
     if tag is None:
         tag = stable_key_digest(("relation-content", relation.arity,
                                  relation.rows))
-        relation._content_tag = tag
+        cell[0] = tag
     return tag
+
+
+def known_content_tag(relation: Relation) -> Optional[str]:
+    """*relation*'s content tag if some alias already computed it, else
+    ``None`` — never renders the rows.
+
+    This is what the write path invalidates with.  Skipping an unknown
+    tag is sound: tags are eviction hints only, and data-dependent plans
+    are *keyed* by the database's exact content fingerprint, so a plan
+    tagged through some other (content-equal) relation object can only
+    become unreachable garbage; it is never served for new contents.
+    """
+    return relation._content_tag[0]
 
 
 # ----------------------------------------------------------------------
@@ -267,10 +281,10 @@ class PlanCache:
         pass
 
     def _invalidate_cold_tags(self, tags: Iterable[str],
-                              skip_digests: Iterable[str]) -> int:
-        """Drop cold-tier entries tagged with *tags*; entries whose key
-        digest is in *skip_digests* were already counted by the memory
-        tier.  Returns how many *additional* plans were dropped."""
+                              counted_keys: Iterable[tuple]) -> int:
+        """Drop cold-tier entries tagged with *tags*; entries for
+        *counted_keys* were already counted by the memory tier.  Returns
+        how many *additional* plans were dropped."""
         return 0
 
     def _clear_cold(self) -> None:
@@ -299,9 +313,7 @@ class PlanCache:
                 self._plans.pop(key, None)
                 del self._key_tags[key]
         dropped = len(doomed)
-        dropped += self._invalidate_cold_tags(
-            wanted, {stable_key_digest(key) for key in doomed}
-        )
+        dropped += self._invalidate_cold_tags(wanted, doomed)
         with self._lock:
             self.invalidated += dropped
         return dropped
@@ -309,20 +321,6 @@ class PlanCache:
     def invalidate_relation(self, relation: Relation) -> int:
         """Drop every plan that depended on *relation*'s current contents."""
         return self.invalidate_tags(relation_content_tag(relation))
-
-    def has_tagged_plans(self) -> bool:
-        """Whether any *memory-tier* plan carries content tags.
-
-        The streaming session checks this before paying for a content
-        tag on every update (rendering a large relation's row set is
-        ``O(n log n)`` string work).  Skipping invalidation when it
-        returns ``False`` is always sound: data-dependent plans are
-        *keyed* by database content fingerprint, so an entry this
-        process never loaded can only ever become unreachable garbage —
-        it can never be served for the updated contents.
-        """
-        with self._lock:
-            return bool(self._key_tags)
 
     # ------------------------------------------------------------------
     def clear(self) -> None:
@@ -467,22 +465,27 @@ class PersistentPlanCache(PlanCache):
             if name.endswith(ENTRY_SUFFIX):
                 yield os.path.join(self.directory, name)
 
-    def _invalidate_cold_tags(self, tags, skip_digests) -> int:
+    def _invalidate_cold_tags(self, tags, counted_keys) -> int:
         """Delete the tracked tagged entries for *tags*.
 
         Only entries this instance stored or loaded are tracked (see
         ``_disk_tags``), so an update costs O(entries it touches), not a
-        scan of a possibly suite-wide shared directory.  Files whose
-        digest appears in *skip_digests* are deleted too but not counted
-        again — the memory tier already counted that plan.
+        scan of a possibly suite-wide shared directory.  Files for
+        *counted_keys* are deleted too but not counted again — the
+        memory tier already counted those plans.  (Their digests are
+        rendered here, not by the caller: a memory-only cache never
+        renders a key, which for a data-dependent plan spells out the
+        database's rows.)
         """
-        skip = set(skip_digests)
         with self._lock:
             digests: set = set()
             for tag in tags:
                 digests |= self._disk_tags.pop(tag, set())
             for remaining in self._disk_tags.values():
                 remaining -= digests
+        if not digests:
+            return 0
+        skip = {stable_key_digest(key) for key in counted_keys}
         dropped = 0
         for digest in digests:
             try:

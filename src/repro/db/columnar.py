@@ -21,7 +21,9 @@ encoding buys:
 * **cheap pickling** — process-pool workers receive dictionaries plus
   raw code bytes, never a materialized row set.
 
-numpy is used when importable and never required: without it the
+numpy is used when importable and never required, and it is imported
+on the first kernel call, not with this module: a tuple-backend process
+never loads it.  Without numpy the
 relation still satisfies the whole contract through the decoded-row
 path, the kernels report unavailable
 (:func:`columnar_kernels_available`), and every consumer falls back to
@@ -39,6 +41,8 @@ programmatically via :func:`set_default_backend`.
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 from array import array
 from typing import Dict, Hashable, Iterable, Optional, Sequence, Tuple
 
@@ -47,10 +51,28 @@ from ..exceptions import ArityMismatchError
 from .relation import Relation, Row
 from .statistics import Statistics
 
-try:  # numpy accelerates the kernels; its absence only disables them
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None
+
+class _LazyNumpy:
+    """Stands in for :mod:`numpy` until a kernel first touches it.
+
+    Importing numpy costs a few hundred milliseconds and several MB of
+    resident memory, and a process that only ever counts over tuple
+    relations never needs it.  The first attribute access imports numpy
+    and rebinds the module global, so later kernel calls use numpy
+    directly.
+    """
+
+    __slots__ = ()
+
+    def __getattr__(self, attr):
+        global _np
+        import numpy
+
+        _np = numpy
+        return getattr(numpy, attr)
+
+
+_np = _LazyNumpy()
 
 __all__ = [
     "BACKEND_ENV",
@@ -112,9 +134,13 @@ def set_default_backend(value: Optional[str]) -> None:
     _FORCED = value
 
 
+@functools.lru_cache(maxsize=None)
 def columnar_kernels_available() -> bool:
-    """Whether the vectorized (numpy) kernels can run in this process."""
-    return _np is not None
+    """Whether the vectorized (numpy) kernels can run in this process.
+
+    Answered by locating numpy, not importing it (see :class:`_LazyNumpy`).
+    """
+    return importlib.util.find_spec("numpy") is not None
 
 
 def make_relation(name: str, arity: int, rows: Iterable[Row] = (),
@@ -259,12 +285,11 @@ class ColumnarRelation(Relation):
         )
         self._codes = tuple(columns)
         self._nrows = nrows
+        self._reset_caches()
+
+    def _reset_caches(self) -> None:
+        Relation._reset_caches(self)
         self._rows = None  # decoded lazily; see the ``rows`` property
-        self._indexes = {}
-        self._statistics = None
-        self._renamed = {}
-        self._content_tag = None
-        self._domain = [None]
         #: Shared (across renamed aliases) cache of kernel-derived
         #: artifacts: numpy column views, scan frames, key aggregates —
         #: the columnar analogue of the tuple backend's ``_indexes``.
@@ -340,6 +365,11 @@ class ColumnarRelation(Relation):
         return type(self)(self.name, self.arity,
                           (row for row in self.rows if keep(row)))
 
+    def derived(self, rows: frozenset) -> "ColumnarRelation":
+        # Re-encoded in repr order: equal versions get equal encodings
+        # however the row set was reached.
+        return type(self)(self.name, self.arity, sorted(rows, key=repr))
+
     def active_domain(self) -> frozenset:
         cached = self._domain[0]
         if cached is None:
@@ -379,13 +409,7 @@ class ColumnarRelation(Relation):
             codes.append(column)
         self._dicts = tuple(dicts)
         self._codes = tuple(codes)
-        self._rows = None
-        self._indexes = {}
-        self._statistics = None
-        self._renamed = {}
-        self._content_tag = None
-        self._domain = [None]
-        self._kcache = {}
+        self._reset_caches()
 
     # ------------------------------------------------------------------
     # Kernel access
@@ -460,12 +484,7 @@ class ColumnarRelation(Relation):
         self._dicts = tuple(out_dicts)
         self._codes = tuple(out_codes)
         self._nrows = nrows
-        self._rows = None
-        self._indexes = {}
-        self._statistics = None
-        self._renamed = {}
-        self._content_tag = None
-        self._domain = [None]
+        self._reset_caches()
         self._kcache = kcache
         return self
 

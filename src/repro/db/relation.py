@@ -19,7 +19,8 @@ class Relation:
     """A finite relation instance: a set of same-length tuples.
 
     The class is a thin, validated wrapper around a ``frozenset`` of rows.
-    It is immutable; "updates" go through :meth:`union` / :meth:`restrict`.
+    It is immutable; "updates" go through :meth:`union` / :meth:`restrict`
+    / :meth:`derived`.
     Hash indexes over column subsets (:meth:`index_on`) and the
     :meth:`statistics` handle are built lazily and cached — immutability
     means they never go stale.
@@ -41,14 +42,19 @@ class Relation:
                 )
             frozen.append(row)
         self._rows: frozenset = frozenset(frozen)
+        self._reset_caches()
+
+    def _reset_caches(self) -> None:
+        """Start every content-derived cache empty (a new version)."""
         self._indexes: Dict[Tuple[int, ...], Dict[Row, Tuple[Row, ...]]] = {}
         self._statistics = None
         self._renamed: Dict[str, "Relation"] = {}
         #: Lazily computed, name-agnostic content digest (see
-        #: ``repro.counting.plan_cache.relation_content_tag``) — cached
-        #: here because the relation is immutable and rendering a large
-        #: row set is O(n log n) string work.
-        self._content_tag = None
+        #: ``repro.counting.plan_cache.relation_content_tag``) — a shared
+        #: one-element cell, like ``_domain``, so a tag computed through
+        #: the engine's canonical alias is visible from the caller's
+        #: relation (rendering a large row set is O(n log n) string work).
+        self._content_tag = [None]
         #: Cached :meth:`active_domain` — a shared one-element cell so a
         #: domain computed through any :meth:`renamed` alias serves every
         #: alias (recomputing was O(n * arity) per call and the sampler
@@ -92,11 +98,7 @@ class Relation:
 
     def __setstate__(self, state) -> None:
         self.name, self.arity, self._rows = state
-        self._indexes = {}
-        self._statistics = None
-        self._renamed = {}
-        self._content_tag = None
-        self._domain = [None]
+        self._reset_caches()
 
     # ------------------------------------------------------------------
     def index_on(self, positions: Iterable[int]) -> Dict[Row, Tuple[Row, ...]]:
@@ -149,6 +151,22 @@ class Relation:
         """A new relation keeping only rows for which ``keep(row)`` is true."""
         return Relation(self.name, self.arity, (r for r in self._rows if keep(r)))
 
+    def derived(self, rows: frozenset) -> "Relation":
+        """The next version of this relation, holding *rows*.
+
+        *rows* must be a frozenset of tuples of this relation's arity —
+        the caller (:func:`repro.dynamic.updates.apply_update`) derived
+        it from :attr:`rows` with one set operation, so nothing is
+        re-validated or re-sorted.  The new version shares no index,
+        statistics, alias or tag cache with this one.
+        """
+        version = object.__new__(type(self))
+        version.name = self.name
+        version.arity = self.arity
+        version._rows = rows
+        version._reset_caches()
+        return version
+
     def renamed(self, name: str) -> "Relation":
         """The same rows under a different relation symbol.
 
@@ -183,7 +201,7 @@ class Relation:
         alias._indexes = self._indexes         # shared: same contents
         alias._statistics = self.statistics()  # shared: content-based
         alias._renamed = self._renamed         # shared alias pool
-        alias._content_tag = self._content_tag  # name-agnostic anyway
+        alias._content_tag = self._content_tag  # shared cell: name-agnostic
         alias._domain = self._domain           # shared cell: one compute
 
     def active_domain(self) -> frozenset:

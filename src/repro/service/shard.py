@@ -31,7 +31,7 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from ..counting.engine import CountResult
-from ..counting.plan_cache import PlanCache, relation_content_tag
+from ..counting.plan_cache import PlanCache, known_content_tag
 from ..db.database import Database
 from ..db.io import database_from_dict, database_to_dict
 from ..dynamic.maintainer import (
@@ -168,17 +168,19 @@ class SessionShard:
     def attach_database(self, name: str, database: Database) -> dict:
         """Attach *database* under *name*; replacing an existing name
         drops its maintainers (resident, spilled, and journaled) and
-        invalidates its data-dependent plans."""
+        invalidates its data-dependent plans — through the content tags
+        already computed for the old relations; none is rendered here
+        (see :func:`~repro.counting.plan_cache.known_content_tag`)."""
         invalidated = 0
         replaced = name in self._databases
         if replaced:
             old = self._databases[name]
             self._pending_deltas.pop(name, None)
             self._maintainers.discard(name)
-            invalidated = self.plan_cache.invalidate_tags(*(
-                relation_content_tag(relation)
+            invalidated = self.plan_cache.invalidate_tags(*filter(None, (
+                known_content_tag(relation)
                 for relation in old.relations()
-            ))
+            )))
         self._databases[name] = database
         return {
             "op": "database", "database": name, "attached": True,
@@ -242,17 +244,18 @@ class SessionShard:
         version is swapped in, the delta is queued for the maintainers,
         and exactly the plans tagged with the updated relation's old
         contents are invalidated (shape-only plans survive).
+
+        The cost is proportional to the update, not the relation: a tag
+        is invalidated only if it was already computed for the replaced
+        version (by a count that planned over it), and no relation is
+        ever rendered on a write
+        (:func:`~repro.counting.plan_cache.known_content_tag`).
         """
         current = self.database(name)
         updated = apply_update(current, update)  # raises before any effect
-        if self.plan_cache.has_tagged_plans():
-            stale_tag = relation_content_tag(current[update.relation])
-            invalidated = self.plan_cache.invalidate_tags(stale_tag)
-        else:
-            # No data-dependent plans are loaded, so there is nothing to
-            # evict — and skipping the (O(n log n)) content tag keeps
-            # update cost proportional to the update, not the relation.
-            invalidated = 0
+        stale_tag = known_content_tag(current[update.relation])
+        invalidated = (self.plan_cache.invalidate_tags(stale_tag)
+                       if stale_tag is not None else 0)
         self._databases[name] = updated
         self._pending_deltas.setdefault(name, []).append(update)
         self.updates_applied += 1

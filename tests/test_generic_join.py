@@ -417,3 +417,29 @@ def test_engine_import_leaves_scipy_unloaded():
     output = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True)
     assert output.stdout.strip() == "False"
+
+
+def test_tuple_count_leaves_numpy_unloaded():
+    """numpy backs only the columnar kernels: importing the engine and
+    counting over tuple relations must not load it."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    code = (
+        "import sys, repro.counting.engine\n"
+        "from repro.counting.engine import count_answers\n"
+        "from repro.db import Database\n"
+        "from repro.query import parse_query\n"
+        "query = parse_query('ans(X) :- r(X, Y), s(Y, Z), t(Z, X)')\n"
+        "edges = [(1, 2), (2, 3), (3, 1)]\n"
+        "database = Database.from_dict(\n"
+        "    {'r': edges, 's': edges, 't': edges}, backend='tuple')\n"
+        "assert count_answers(query, database).count == 3\n"
+        "print(any(m == 'numpy' or m.startswith('numpy.') "
+        "for m in sys.modules))\n"
+    )
+    env = {key: value for key, value in os.environ.items()
+           if not key.startswith("REPRO_")}
+    env["PYTHONPATH"] = src
+    output = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert output.stdout.strip() == "False"
