@@ -692,7 +692,7 @@ register_strategy("approx", _approx_applicable, _approx_estimate,
 # ----------------------------------------------------------------------
 # Results
 # ----------------------------------------------------------------------
-@dataclass
+@dataclass(slots=True)
 class CountResult:
     """Outcome of a counting run: the count plus the decision trail."""
 

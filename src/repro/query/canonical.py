@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .atom import Atom
@@ -83,9 +84,12 @@ class CanonicalForm:
     variable_map: Mapping[Variable, Variable]  #: original -> canonical
     symbol_map: Mapping[str, str]              #: original -> canonical
 
-    @property
+    @cached_property
     def digest(self) -> str:
-        """A short stable hex digest of the fingerprint (for display)."""
+        """A short stable hex digest of the fingerprint (for display).
+
+        Computed once per form: memoized forms serve every read of their
+        shape, and each read reports the digest."""
         return hashlib.sha1(
             repr(self.fingerprint).encode("utf-8")
         ).hexdigest()[:12]

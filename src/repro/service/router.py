@@ -52,7 +52,7 @@ import os
 import threading
 import time
 import uuid
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence
 
 from ..counting.plan_cache import (
@@ -245,6 +245,8 @@ class _ProcessHandle:
     """A shard core confined to one single-worker process pool."""
 
     def __init__(self, config: dict):
+        # Imported here: only process mode needs multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
         self._pool = ProcessPoolExecutor(
             max_workers=1,
             initializer=_process_shard_init, initargs=(config,),

@@ -29,8 +29,8 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import List, Optional, Sequence, Tuple
+from concurrent.futures import ThreadPoolExecutor
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from ..counting.engine import CountResult, count_answers
 from ..counting.plan_cache import (
@@ -43,6 +43,9 @@ from ..counting.plan_cache import (
 from ..db.database import Database
 from ..envknobs import env_int
 from .jobs import CountJob
+
+if TYPE_CHECKING:  # only process mode starts a pool; import it lazily
+    from concurrent.futures import ProcessPoolExecutor
 
 #: Recognized execution modes.
 MODES = ("auto", "inline", "thread", "process")
@@ -228,6 +231,7 @@ class CountingService:
         ``cache_dir`` when one is configured.
         """
         if self._process_pool is None:
+            from concurrent.futures import ProcessPoolExecutor
             self._process_pool = ProcessPoolExecutor(
                 max_workers=self.workers,
                 initializer=_warm_worker, initargs=(self.cache_dir,),

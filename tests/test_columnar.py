@@ -41,6 +41,7 @@ from repro.db.columnar import (
     set_default_backend,
 )
 from repro.db.relation import Relation
+from repro.envknobs import isolated_repro_env
 from repro.exceptions import ArityMismatchError, SchemaError
 from repro.query import parse_query
 
@@ -304,8 +305,14 @@ class TestDifferentialBackendParity:
         for query in QUERIES:
             expected = count_brute_force(query, tuple_db)
             for method in ("auto", "compiled"):
+                # Forcing the compiled tier must not depend on the leg's
+                # REPRO_COMPILED, which switches that tier off.
+                pins = {"REPRO_COMPILED": None} if method == "compiled" \
+                    else {}
                 for database in (tuple_db, columnar_db):
-                    result = count_answers(query, database, method=method)
+                    with isolated_repro_env(**pins):
+                        result = count_answers(query, database,
+                                               method=method)
                     assert result.count == expected, (
                         f"seed {seed}, {query.name}, {method}, "
                         f"{database_backend(database)}"

@@ -443,3 +443,27 @@ def test_tuple_count_leaves_numpy_unloaded():
     output = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True)
     assert output.stdout.strip() == "False"
+
+
+def test_inline_count_leaves_multiprocessing_unloaded():
+    """Only process-mode pools need ``multiprocessing``: importing the
+    package and counting inline must not load it."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    code = (
+        "import sys, repro\n"
+        "from repro import count_answers, parse_query\n"
+        "from repro.db import Database\n"
+        "query = parse_query('ans(A) :- r(A, B), s(B, C)')\n"
+        "database = Database.from_dict({'r': [(1, 2), (3, 4)], "
+        "'s': [(2, 9)]})\n"
+        "assert count_answers(query, database).count == 1\n"
+        "print(any(m == 'multiprocessing' or "
+        "m.startswith('multiprocessing.') for m in sys.modules))\n"
+    )
+    env = {key: value for key, value in os.environ.items()
+           if not key.startswith("REPRO_")}
+    env["PYTHONPATH"] = src
+    output = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert output.stdout.strip() == "False"

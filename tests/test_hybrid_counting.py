@@ -15,6 +15,7 @@ from repro.workloads import (
     q2_pseudo_free,
     random_instance,
 )
+from repro.workloads.graph_patterns import EDGE, gnp_graph
 
 
 class TestExample63Counting:
@@ -61,6 +62,20 @@ class TestHybridOnGeneralInstances:
             assert got == count_brute_force(query, database), f"seed={seed+300}"
             checked += 1
         assert checked >= 7
+
+    def test_existential_centre_star_matches_brute_force(self):
+        """The 4-star with an existential centre and free leaves: the
+        shape the engine answers by the hybrid method."""
+        query = parse_query(
+            "ans(B, C, D, E) :- r(A, B), s(A, C), t(A, D), u(A, E)"
+        )
+        for seed in range(6):
+            database = Database.from_dict({
+                name: gnp_graph(10, 0.3, seed=4 * seed + offset)[EDGE].rows
+                for offset, name in enumerate("rstu")
+            })
+            assert count_hybrid(query, database, width=1) == \
+                count_brute_force(query, database), f"seed={seed}"
 
     def test_unsatisfiable_counts_zero(self):
         query = parse_query("ans(A) :- r(A, B), s(B, C)")

@@ -1,5 +1,9 @@
 """Unit tests for the Figure 13 #-relation algorithm (Theorem 6.2)."""
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.counting.brute_force import count_brute_force
 from repro.counting.sharp_relations import (
     count_sharp_relations,
@@ -12,11 +16,44 @@ from repro.db.algebra import SubstitutionSet
 from repro.db.generators import correlated_database
 from repro.decomposition.ghd import find_ghd_join_tree
 from repro.decomposition.hypertree import hypertree_from_join_tree
+from repro.exceptions import SchemaError
 from repro.hypergraph.acyclicity import JoinTree
 from repro.query import Variable, parse_query
 from repro.workloads import d2_database, q2_acyclic, random_instance
 
 A, B, C = Variable("A"), Variable("B"), Variable("C")
+VARIABLES = tuple(Variable(name) for name in "ABCD")
+
+
+def figure13_semijoin(left, right):
+    """The literal Figure 13 double loop: one semijoin per pair of groups."""
+    result = {}
+    for left_set, left_count in left.items():
+        for right_set, right_count in right.items():
+            survivors = left_set.semijoin(right_set)
+            if survivors:
+                weight = left_count * right_count
+                result[survivors] = result.get(survivors, 0) + weight
+    return result
+
+
+def sharp_relations(schema):
+    """#-relations over *schema*: small groups on a tiny domain, so key
+    sets repeat, with counts above 1 and possibly no groups at all."""
+    schema = tuple(sorted(schema, key=lambda v: v.name))
+    rows = st.tuples(*[st.integers(0, 2)] * len(schema))
+    groups = st.frozensets(rows, max_size=5).map(
+        lambda group_rows: SubstitutionSet(schema, group_rows)
+    )
+    return st.dictionaries(groups, st.integers(1, 6), max_size=6)
+
+
+@st.composite
+def sharp_relation_pairs(draw):
+    """Two #-relations whose schemas may share variables or be disjoint."""
+    schemas = st.sets(st.sampled_from(VARIABLES), min_size=1)
+    return (draw(sharp_relations(draw(schemas))),
+            draw(sharp_relations(draw(schemas))))
 
 
 class TestSharpRelationPrimitives:
@@ -48,6 +85,32 @@ class TestSharpRelationPrimitives:
         left = initial_sharp_relation(SubstitutionSet((A, B), [(1, 2)]), {A})
         right = {SubstitutionSet((B, C), [(9, 9)]): 1}
         assert sharp_semijoin(left, right) == {}
+
+    def test_semijoin_rejects_mixed_schemas(self):
+        left = {
+            SubstitutionSet((A, B), [(1, 2)]): 1,
+            SubstitutionSet((A, C), [(1, 2)]): 1,
+        }
+        right = {SubstitutionSet((A,), [(1,)]): 1}
+        with pytest.raises(SchemaError):
+            sharp_semijoin(left, right)
+
+
+class TestSharpSemijoinMatchesFigure13:
+    @settings(max_examples=300, deadline=None)
+    @given(sharp_relation_pairs())
+    def test_equals_pairwise_double_loop(self, pair):
+        left, right = pair
+        assert sharp_semijoin(left, right) == figure13_semijoin(left, right)
+
+    @settings(max_examples=100, deadline=None)
+    @given(sharp_relation_pairs())
+    def test_unfiltered_survivor_is_the_left_group(self, pair):
+        left, right = pair
+        for group, count in left.items():
+            for survivors in sharp_semijoin({group: count}, right):
+                if survivors == group:
+                    assert survivors is group
 
 
 class TestCountSharpRelations:
