@@ -31,19 +31,18 @@ Contract: :meth:`DeltaReducer.reduce` behaves exactly like
 components: any empty reduced bag empties every returned set) while also
 seeding the incremental state; :meth:`DeltaReducer.apply` then folds one
 bag's membership delta in and returns, per affected bag, the rows whose
-*survivor* status flipped.  The compiled rendition —
-:class:`~repro.consistency.local.CompiledDeltaReducer` — swaps the key
-extractors for the shared scalar-fused memo and is what the
-:class:`~repro.dynamic.reduced.ReducedMaintainer` links on the compiled
-tier; both serialize their position schedule as plain :meth:`steps` data
-and relink extractor closures after a pickle round trip.
+*survivor* status flipped.  Keys never leave the reducer, so it extracts
+them through the scalar-fused :func:`~repro.db.algebra._key_getter` memo
+(a bare value for a single shared position); it serializes its position
+schedule as plain :meth:`steps` data and relinks the extractor closures
+after a pickle round trip.
 """
 
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
-from ..db.algebra import _row_getter
+from ..db.algebra import _key_getter
 from ..hypergraph.acyclicity import JoinTree
 from ..query.terms import Variable
 
@@ -60,16 +59,11 @@ class DeltaReducer:
     indexes, and support counters — lives on the instance;
     :meth:`estimated_cells` prices it for a byte budget.
 
-    The key extractors come from :attr:`_getter` (tuple-producing
-    ``_row_getter`` here; the compiled subclass swaps in the scalar
-    memo).  They are closures: :meth:`__getstate__` drops them and
+    The key extractors are closures: :meth:`__getstate__` drops them and
     :meth:`__setstate__` relinks, so instances survive a pickle round
     trip, and :meth:`steps`/:meth:`from_steps` expose the position
     schedule as plain data for holders that persist it separately.
     """
-
-    #: Position-tuple -> key-extractor factory (overridden compiled).
-    _getter = staticmethod(_row_getter)
 
     def __init__(self, schemas: Sequence[Tuple[Variable, ...]],
                  tree: JoinTree):
@@ -142,9 +136,8 @@ class DeltaReducer:
         self._reset()
 
     def _relink(self) -> None:
-        getter = type(self)._getter
         self._getters = {
-            edge: getter(key_positions)
+            edge: _key_getter(key_positions)
             for edge, key_positions in self._positions.items()
         }
 

@@ -24,7 +24,6 @@ from ..db.database import Database
 from ..hypergraph.acyclicity import JoinTree
 from ..query.query import ConjunctiveQuery
 from ..query.terms import Variable
-from .delta import DeltaReducer
 from .pairwise import pairwise_consistency
 from .views import hypertree_view_set, standard_view_extension
 
@@ -182,30 +181,6 @@ class CompiledReducer:
             return [frozenset() for _ in reduced]
         return [rows if isinstance(rows, frozenset) else frozenset(rows)
                 for rows in reduced]
-
-
-class CompiledDeltaReducer(DeltaReducer):
-    """Compiled rendition of :class:`~repro.consistency.delta.DeltaReducer`.
-
-    Identical support-counter / changed-key-frontier algorithm; the only
-    lowering is the key-extractor family: shared-variable keys are
-    extracted through the same scalar-fused :func:`_key_getter` memo the
-    :class:`CompiledReducer` semijoin passes use (bare C-speed
-    ``itemgetter`` value for a single shared position, tuple extractor
-    otherwise), resolved once at link time.  Keys never leave the
-    reducer, so scalar keys are safe — both endpoints of an edge always
-    extract through the same family.
-
-    Like the compiled delta-join plans, the extractors are closures:
-    :meth:`~repro.consistency.delta.DeltaReducer.steps` data is plain
-    pickle-safe positions, and a pickle round trip (or
-    :meth:`from_steps`) relinks them.  The
-    :class:`~repro.dynamic.reduced.ReducedMaintainer` links this class
-    on the compiled tier and the interpreted ``DeltaReducer`` under
-    ``REPRO_COMPILED=0``.
-    """
-
-    _getter = staticmethod(_key_getter)
 
 
 def nonempty_after_pairwise_consistency(query: ConjunctiveQuery,

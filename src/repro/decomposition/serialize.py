@@ -73,15 +73,8 @@ COMPILED_FORMAT_VERSION = 2
 #: set, so they are rejected and the maintainer rebuilt.
 MAINTAINER_FORMAT_VERSION = 3
 
-#: Bump when the shard-handoff payload (a database snapshot shipped
-#: between shard servers; see :mod:`repro.service.net.directory`)
-#: changes incompatibly — a stale envelope is then rejected on restore
-#: and the handoff aborts instead of adopting garbage state.
-HANDOFF_FORMAT_VERSION = 1
-
 _PLAN_MAGIC = b"repro-plan"
 _MAINTAINER_MAGIC = b"repro-maint"
-_HANDOFF_MAGIC = b"repro-handoff"
 
 
 class PlanSerializationError(ReproError):
@@ -176,26 +169,3 @@ def deserialize_maintainer_state(blob: bytes) -> object:
     envelope; raises :class:`PlanSerializationError` when it does not
     verify — the pool then rebuilds from the live database."""
     return _deserialize(blob, _MAINTAINER_MAGIC, MAINTAINER_FORMAT_VERSION)
-
-
-# ----------------------------------------------------------------------
-# Shard-handoff snapshots (the networked fabric's shipped databases)
-# ----------------------------------------------------------------------
-def serialize_handoff_state(state: object) -> bytes:
-    """Encode a shard-handoff snapshot as a self-verifying byte blob.
-
-    *state* is the source shard's checkpoint payload (the database name
-    plus its relation rows; see
-    :meth:`repro.service.shard.SessionShard.checkpoint_database`).  The
-    envelope is what makes shipping it over a faulty network safe: a
-    truncated or corrupted blob fails verification on the receiving
-    shard instead of being attached as a wrong database.
-    """
-    return _serialize(state, _HANDOFF_MAGIC, HANDOFF_FORMAT_VERSION)
-
-
-def deserialize_handoff_state(blob: bytes) -> object:
-    """Decode a :func:`serialize_handoff_state` blob, verifying the
-    envelope; raises :class:`PlanSerializationError` when it does not
-    verify — the handoff then aborts instead of restoring garbage."""
-    return _deserialize(blob, _HANDOFF_MAGIC, HANDOFF_FORMAT_VERSION)

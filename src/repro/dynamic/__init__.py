@@ -34,12 +34,11 @@ from .maintainer import (
     SharedMaintainer,
     maintainer_budget_from_env,
 )
-from .reduced import MAINTAINED_CLASS_VERSION, ReducedMaintainer
+from .reduced import ReducedMaintainer
 from .updates import Delete, Insert, Update, apply_update
 
 __all__ = [
     "MAINTAINER_BUDGET_ENV",
-    "MAINTAINED_CLASS_VERSION",
     "DEFAULT_REDUCED_WIDTH",
     "IncrementalCounter",
     "MaintainerPool",

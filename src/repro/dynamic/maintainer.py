@@ -803,8 +803,7 @@ class MaintainerPool:
         Raises :class:`NotAcyclicError` (reduction disabled) or
         :class:`~repro.exceptions.DecompositionNotFoundError` (width
         bound exceeded) for unmaintainable shapes — callers should
-        memoize the verdict per fingerprint, versioned by
-        :data:`~repro.dynamic.reduced.MAINTAINED_CLASS_VERSION`.
+        memoize the verdict per fingerprint.
         """
         try:
             return IncrementalCounter(query, database)

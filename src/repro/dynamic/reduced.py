@@ -56,7 +56,6 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple
 
 from ..consistency.delta import DeltaReducer
-from ..consistency.local import CompiledDeltaReducer
 from ..counting.compile import compiled_enabled
 from ..db.algebra import _row_getter
 from ..db.database import Database
@@ -79,14 +78,6 @@ from .maintainer import (
 from .updates import Delete, Insert, Update
 
 Row = Tuple[Hashable, ...]
-
-#: Version of the *maintainable class* the session memoizes verdicts
-#: against.  Version 1 was the quantifier-free acyclic probe only; a
-#: ``False`` cached under it is stale now that reduction-based
-#: maintenance exists and must be re-probed (see
-#: :class:`~repro.service.shard.SessionShard`).
-MAINTAINED_CLASS_VERSION = 2
-
 
 class _DynPart:
     """One part of a bag's provenance: an atom occurrence with its
@@ -500,10 +491,9 @@ class ReducedMaintainer:
     # Read path: exactness + row-wise DP repair
     # ------------------------------------------------------------------
     def _make_reducer(self) -> DeltaReducer:
-        """Link the delta reducer for this tree — the compiled rendition
-        (scalar-fused key extractors) unless ``REPRO_COMPILED=0``."""
-        factory = CompiledDeltaReducer if compiled_enabled() else DeltaReducer
-        return factory([state.schema for state in self._bags], self.tree)
+        """Link the delta reducer for this tree."""
+        return DeltaReducer([state.schema for state in self._bags],
+                            self.tree)
 
     def _fed_target(self, state: _BagState) -> FrozenSet[Row]:
         """What the inner DP should hold for one bag right now: the

@@ -117,6 +117,42 @@ class CountJob:
         }
 
 
+def count_options_from_spec(spec: dict) -> Dict[str, object]:
+    """The engine options of a count job's JSON object (defaults for
+    absent fields) — shared by job files and session streams, the
+    inverse of :func:`count_options_to_spec`.  Malformed values raise
+    ``TypeError``/``ValueError``."""
+    max_degree = spec.get("max_degree")
+    deadline_ms = spec.get("deadline_ms")
+    error_budget = spec.get("error_budget")
+    return {
+        "method": spec.get("method", "auto"),
+        "max_width": int(spec.get("max_width", 3)),
+        "max_degree": math.inf if max_degree is None else float(max_degree),
+        "hybrid_width": int(spec.get("hybrid_width", 2)),
+        "deadline_ms": None if deadline_ms is None else float(deadline_ms),
+        "error_budget": None if error_budget is None else float(error_budget),
+    }
+
+
+def count_options_to_spec(job) -> Dict[str, object]:
+    """The engine options of *job* (a :class:`CountJob` or a session
+    ``CountRequest``) as JSON fields; an infinite ``max_degree`` and an
+    unset deadline or error budget are omitted."""
+    spec: Dict[str, object] = {
+        "method": job.method,
+        "max_width": job.max_width,
+        "hybrid_width": job.hybrid_width,
+    }
+    if not math.isinf(job.max_degree):
+        spec["max_degree"] = job.max_degree
+    if job.deadline_ms is not None:
+        spec["deadline_ms"] = job.deadline_ms
+    if job.error_budget is not None:
+        spec["error_budget"] = job.error_budget
+    return spec
+
+
 def load_jobs(path: str) -> List[CountJob]:
     """Parse a job file into :class:`CountJob`\\ s with shared databases."""
     with open(path) as handle:
@@ -167,21 +203,14 @@ def load_jobs(path: str) -> List[CountJob]:
                         f"({error})"
                     ) from None
             database = loaded_paths[resolved]
-        max_degree = spec.get("max_degree")
-        deadline_ms = spec.get("deadline_ms")
-        error_budget = spec.get("error_budget")
-        jobs.append(CountJob(
-            query=query,
-            database=database,
-            method=spec.get("method", "auto"),
-            max_width=int(spec.get("max_width", 3)),
-            max_degree=math.inf if max_degree is None else float(max_degree),
-            hybrid_width=int(spec.get("hybrid_width", 2)),
-            label=spec.get("label"),
-            deadline_ms=None if deadline_ms is None else float(deadline_ms),
-            error_budget=(None if error_budget is None
-                          else float(error_budget)),
-        ))
+        try:
+            options = count_options_from_spec(spec)
+        except (TypeError, ValueError) as error:
+            raise JobFileError(
+                f"{path}: job {position}: malformed option: {error}"
+            ) from None
+        jobs.append(CountJob(query=query, database=database,
+                             label=spec.get("label"), **options))
     return jobs
 
 
@@ -206,21 +235,12 @@ def dump_jobs(path: str, jobs: Sequence[CountJob]) -> None:
 
     payload_jobs = []
     for index, job in enumerate(jobs):
-        spec: Dict[str, object] = {
+        payload_jobs.append({
             "label": job.label if job.label is not None else f"job{index}",
             "query": query_to_text(job.query),
             "database": name_of(job.database),
-            "method": job.method,
-            "max_width": job.max_width,
-            "hybrid_width": job.hybrid_width,
-        }
-        if not math.isinf(job.max_degree):
-            spec["max_degree"] = job.max_degree
-        if job.deadline_ms is not None:
-            spec["deadline_ms"] = job.deadline_ms
-        if job.error_budget is not None:
-            spec["error_budget"] = job.error_budget
-        payload_jobs.append(spec)
+            **count_options_to_spec(job),
+        })
     with open(path, "w") as handle:
         json.dump({"databases": payload_dbs, "jobs": payload_jobs},
                   handle, indent=2)

@@ -15,7 +15,7 @@ SessionShard` workers to first-class network services:
   :class:`RemoteShardHandle` (the session handle contract over TCP).
 * :mod:`~repro.service.net.directory` — :class:`ShardDirectory`, the
   control plane assigning databases to addresses with graceful handoff
-  and crash failover built on the checkpoint envelopes.
+  and crash failover built on data-only checkpoint snapshots.
 * :mod:`~repro.service.net.kv` — the networked plan-cache tier
   (:class:`PlanCacheKVServer` / :class:`RemotePlanCache`).
 * :mod:`~repro.service.net.chaos` — :class:`FaultyTransport`, the

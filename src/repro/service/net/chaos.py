@@ -19,7 +19,7 @@ duplicate      server reply memory answers the repeat, no re-execute
 truncate       decoder checksum + magic resync; lost frame retried
 corrupt        decoder checksum; frame dropped, connection survives
 sever          client reconnect + same-id retry -> server dedup
-kill (server)  directory failover: origin envelope + journal replay
+kill (server)  directory failover: origin snapshot + journal replay
 =============  ====================================================
 
 Frames are re-framed (decoded, re-encoded) on the way through, so the

@@ -236,10 +236,9 @@ class ShardClient:
         return self.request({"op": "checkpoint", "shard": shard,
                              "database": database})
 
-    def restore(self, shard: str, database: str, envelope_b64: str) -> dict:
+    def restore(self, shard: str, database: str, payload: dict) -> dict:
         return self.request({"op": "restore", "shard": shard,
-                             "database": database,
-                             "envelope": envelope_b64})
+                             "database": database, "payload": payload})
 
     def release(self, shards: List[str]) -> dict:
         return self.request({"op": "release", "shards": list(shards)})

@@ -3,13 +3,13 @@
 A :class:`ShardDirectory` is the small control plane of the networked
 fabric.  It assigns each database to one shard server address (a stable
 hash, like the in-process router), keeps per-database *recovery
-material* — the origin snapshot (a verifying handoff envelope captured
-at attach) plus the journal of every acknowledged update since — and
+material* — the origin snapshot (the database's rows as plain JSON data,
+captured at attach) plus the journal of every acknowledged update since — and
 uses that material to move databases between servers:
 
 * **graceful handoff** (:meth:`handoff`): pause the database's traffic,
-  pull a *fresh* checkpoint from the owning server (spill to envelope,
-  ship bytes), restore it on the target, flip the assignment, resume.
+  pull a *fresh* checkpoint from the owning server (the database's rows,
+  shipped as data), restore it on the target, flip the assignment, resume.
   The fresh checkpoint already contains every acknowledged update, so
   the journal resets — nothing is replayed, nothing lost, nothing
   doubled.  The pause is the checkpoint-ship-restore window, which the
@@ -17,7 +17,7 @@ uses that material to move databases between servers:
 * **crash failover** (automatic): when a server stops answering
   (transport retries exhausted — the mid-stream kill scenario), every
   database assigned to it is rebuilt on a standby from its origin
-  envelope plus a journal replay, in acknowledgement order.  The job
+  snapshot plus a journal replay, in acknowledgement order.  The job
   that surfaced the failure was *not* acknowledged, so it is not in the
   journal; it is resubmitted once after recovery — exactly-once with
   respect to the rebuilt state.
@@ -29,7 +29,6 @@ proceed in parallel, bounded by one connection per server address.
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import threading
 import time
@@ -38,7 +37,6 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ...db.io import database_to_dict
-from ...decomposition.serialize import serialize_handoff_state
 from ...exceptions import ReproError
 from ..router import SessionRouter
 from ..session import AttachDatabase, SessionJob, UpdateRequest
@@ -96,7 +94,7 @@ class ShardDirectory:
         self._failed: set = set()
         self._states: Dict[str, _AddressState] = {}
         self._assignment: Dict[str, str] = {}
-        self._origins: Dict[str, str] = {}      # db -> envelope (base64)
+        self._origins: Dict[str, dict] = {}     # db -> checkpoint payload
         self._journals: Dict[str, List[SessionJob]] = {}
         self._pools: Dict[str, ThreadPoolExecutor] = {}
         self._recovery_events: Dict[str, threading.Event] = {}
@@ -189,9 +187,9 @@ class ShardDirectory:
     def _record(self, database: str, job: SessionJob) -> None:
         """Track acknowledged jobs as recovery material."""
         if isinstance(job, AttachDatabase):
-            envelope = self._checkpoint_from_job(job)
+            origin = self._checkpoint_from_job(job)
             with self._lock:
-                self._origins[database] = envelope
+                self._origins[database] = origin
                 self._journals[database] = []
         elif isinstance(job, UpdateRequest):
             with self._lock:
@@ -222,29 +220,25 @@ class ShardDirectory:
                 checkpoint = state.client.checkpoint(self.shard, database)
         except TransportError:
             return
-        envelope = checkpoint["envelope"]
         with self._lock:
             # The assignment may have moved under a concurrent failover;
             # the fresh checkpoint is only authoritative for the server
             # it was taken from.
             if self._assignment.get(database) != address:
                 return
-            self._origins[database] = envelope
+            self._origins[database] = checkpoint
             self._journals[database] = []
             self.truncations += 1
 
     @staticmethod
-    def _checkpoint_from_job(job: AttachDatabase) -> str:
-        """The origin envelope of an attach, built locally — identical
+    def _checkpoint_from_job(job: AttachDatabase) -> dict:
+        """The origin snapshot of an attach, built locally — identical
         in shape to a server checkpoint, so restore treats both alike."""
-        payload = {
+        return {
             "database": job.name,
             "relations": database_to_dict(job.database),
             "total_tuples": job.database.total_tuples(),
         }
-        return base64.b64encode(
-            serialize_handoff_state(payload)
-        ).decode("ascii")
 
     # ------------------------------------------------------------------
     # Movement
@@ -274,14 +268,13 @@ class ShardDirectory:
         source_state = self._state_for(source)
         with source_state.lock:
             checkpoint = source_state.client.checkpoint(self.shard, database)
-        envelope = checkpoint["envelope"]
         target_state = self._state_for(to_address)
         with target_state.lock:
-            target_state.client.restore(self.shard, database, envelope)
+            target_state.client.restore(self.shard, database, checkpoint)
         with self._lock:
             self._assignment[database] = to_address
             # The fresh checkpoint subsumes every acknowledged update.
-            self._origins[database] = envelope
+            self._origins[database] = checkpoint
             self._journals[database] = []
             self.handoffs += 1
         return {
@@ -318,7 +311,7 @@ class ShardDirectory:
                 self.failovers += 1
                 doomed = [database for database, holder
                           in self._assignment.items() if holder == address]
-                recovery: List[Tuple[str, str, str, List[SessionJob]]] = []
+                recovery: List[Tuple[str, str, dict, List[SessionJob]]] = []
                 plan_error: Optional[TransportError] = None
                 for database in doomed:
                     replacement = self._next_replacement()

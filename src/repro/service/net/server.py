@@ -16,11 +16,11 @@ Protocol (one request frame in, one response frame out; see
 
 Ops: ``configure`` (create a shard with explicit knobs), ``submit``
 (execute one session job), ``stats``, ``probe`` (readiness/liveness),
-``checkpoint`` / ``restore`` (graceful-handoff snapshots in verifying
-envelopes), ``release`` (drop a session's namespaced shards), ``drain``
-(graceful: finish queued work, refuse new submits), and — only when
-``allow_chaos`` — ``stall`` (occupy a shard for a bounded time; the
-deterministic way tests saturate a remote queue).
+``checkpoint`` / ``restore`` (graceful-handoff snapshots as plain JSON
+data — never pickles), ``release`` (drop a session's namespaced shards),
+``drain`` (graceful: finish queued work, refuse new submits), and —
+only when ``allow_chaos`` — ``stall`` (occupy a shard for a bounded
+time; the deterministic way tests saturate a remote queue).
 
 **Exactly-once under retries.**  Every request carries a client-unique
 id; the server remembers the last replies per client and serves a
@@ -40,7 +40,6 @@ reconstructs as a genuine
 
 from __future__ import annotations
 
-import base64
 import os
 import re
 import socket
@@ -53,10 +52,6 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Set
 
 from ...counting.plan_cache import PersistentPlanCache, PlanCache
-from ...decomposition.serialize import (
-    deserialize_handoff_state,
-    serialize_handoff_state,
-)
 from ...dynamic.maintainer import BUDGET_FROM_ENV
 from ...exceptions import ReproError
 from ..router import DEFAULT_RETRY_AFTER_MS, ShardSaturatedError
@@ -449,14 +444,8 @@ class ShardServer:
         if not isinstance(database, str):
             raise ReproError("checkpoint names no database")
         core = self._core(name)
-        payload = self._run_on_core(core, core.shard.checkpoint_database,
-                                    database)
-        envelope = serialize_handoff_state(payload)
-        return {
-            "database": database,
-            "total_tuples": payload["total_tuples"],
-            "envelope": base64.b64encode(envelope).decode("ascii"),
-        }
+        return self._run_on_core(core, core.shard.checkpoint_database,
+                                 database)
 
     def _op_restore(self, request: dict) -> dict:
         self._refuse_if_draining()
@@ -464,18 +453,9 @@ class ShardServer:
         database = request.get("database")
         if not isinstance(database, str):
             raise ReproError("restore names no database")
-        try:
-            envelope = base64.b64decode(
-                str(request.get("envelope", "")).encode("ascii"),
-                validate=True,
-            )
-        except Exception:
-            raise ReproError("restore envelope is not valid base64") \
-                from None
-        payload = deserialize_handoff_state(envelope)  # verifies or raises
         core = self._core(name)
         ack = self._run_on_core(core, core.shard.restore_database,
-                                database, payload)
+                                database, request.get("payload"))
         return {"database": database, "restored": True,
                 "total_tuples": ack["total_tuples"],
                 "replaced": ack["replaced"]}

@@ -45,19 +45,19 @@ import json
 import math
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Iterable, List, Optional, Sequence, Union
 
-from ..counting.engine import CountResult
-from ..counting.plan_cache import PlanCache
 from ..db.database import Database
 from ..db.io import database_from_dict, database_to_dict, query_to_text
-from ..dynamic.maintainer import BUDGET_FROM_ENV
 from ..dynamic.updates import Delete, Insert, Update
 from ..exceptions import ReproError
 from ..query.parser import parse_query
 from ..query.query import ConjunctiveQuery
-from .jobs import JobFileError
-from .service import CountingService
+from .jobs import (
+    JobFileError,
+    count_options_from_spec,
+    count_options_to_spec,
+)
 from .shard import SessionShard
 
 
@@ -109,110 +109,30 @@ class AttachDatabase:
 SessionJob = Union[CountRequest, UpdateRequest, AttachDatabase]
 
 
-class CountingSession:
+class CountingSession(SessionShard):
     """A long-lived counting front end over named, updatable databases.
 
-    Parameters mirror :class:`~repro.service.CountingService` (the
-    engine-fallback executor): *workers*, *mode*, *plan_cache*,
-    *cache_dir*.  ``maintain=False`` disables the maintained path
-    entirely (every count goes through the engine) — the differential
-    harness uses it as one of its replay configurations.
-    ``maintainer_budget_bytes`` caps the resident maintainer DP bytes
-    (cold maintainers spill to checkpoints and restore by replaying
-    post-checkpoint deltas; see
+    The single-writer session *is* one
+    :class:`~repro.service.shard.SessionShard` (same parameters, same
+    methods), plus :meth:`run_stream`'s batching of engine-bound counts
+    through the shard's :class:`~repro.service.CountingService` worker
+    pool (*workers*, *mode*).  ``maintain=False`` disables the
+    maintained path entirely (every count goes through the engine) —
+    the differential harness uses it as one of its replay
+    configurations.  ``maintainer_budget_bytes`` caps the resident
+    maintainer DP bytes (cold maintainers spill to checkpoints and
+    restore by replaying post-checkpoint deltas; see
     :class:`~repro.dynamic.maintainer.MaintainerPool`).
     ``maintain_reduced=False`` narrows the maintained class back to
     quantifier-free acyclic shapes (bounded-#htw shapes then recount
     through the engine instead of riding the Theorem 3.7 reduction).
 
-    A ``CountingSession`` is *single-writer*: one
-    :class:`~repro.service.shard.SessionShard` serializes every job.
     The sharded, multi-writer front end is
     :class:`~repro.service.router.MultiWriterSession`.
     """
 
-    def __init__(self, databases: Optional[Dict[str, Database]] = None,
-                 workers: int = 0, mode: str = "auto",
-                 plan_cache: Optional[PlanCache] = None,
-                 cache_dir: Optional[str] = None,
-                 maintain: bool = True,
-                 maintainer_capacity: int = 64,
-                 maintainer_budget_bytes=BUDGET_FROM_ENV,
-                 maintainer_spill_dir: Optional[str] = None,
-                 maintain_reduced: bool = True):
-        self._service = CountingService(workers=workers, mode=mode,
-                                        plan_cache=plan_cache,
-                                        cache_dir=cache_dir)
-        self._shard = SessionShard(
-            service=self._service,
-            maintain=maintain,
-            maintainer_capacity=maintainer_capacity,
-            maintainer_budget_bytes=maintainer_budget_bytes,
-            maintainer_spill_dir=maintainer_spill_dir,
-            maintain_reduced=maintain_reduced,
-        )
-        self.plan_cache = self._service.plan_cache
-        self.maintain = maintain
-        for name, database in (databases or {}).items():
-            self.attach_database(name, database)
-
-    # ------------------------------------------------------------------
-    # Counters (delegated to the single shard)
-    # ------------------------------------------------------------------
-    @property
-    def maintained_counts(self) -> int:
-        return self._shard.maintained_counts
-
-    @property
-    def reduced_counts(self) -> int:
-        return self._shard.reduced_counts
-
-    @property
-    def engine_counts(self) -> int:
-        return self._shard.engine_counts
-
-    @property
-    def compiled_counts(self) -> int:
-        return self._shard.compiled_counts
-
-    @property
-    def updates_applied(self) -> int:
-        return self._shard.updates_applied
-
-    # ------------------------------------------------------------------
-    # Databases
-    # ------------------------------------------------------------------
-    def database(self, name: str) -> Database:
-        """The current version of the named database."""
-        return self._shard.database(name)
-
-    def database_names(self) -> List[str]:
-        return self._shard.database_names()
-
-    def attach_database(self, name: str, database: Database) -> dict:
-        """Attach *database* under *name*; replacing an existing name
-        drops its maintainers and invalidates its data-dependent plans."""
-        return self._shard.attach_database(name, database)
-
-    # ------------------------------------------------------------------
-    # Updates and counts
-    # ------------------------------------------------------------------
-    def update(self, name: str, update: Update,
-               label: Optional[str] = None) -> dict:
-        """Apply *update* to the named database (atomically); see
-        :meth:`SessionShard.update`."""
-        return self._shard.update(name, update, label=label)
-
-    def count(self, request: CountRequest) -> CountResult:
-        """Serve one count now (maintained if possible, engine otherwise)."""
-        return self._shard.count(request)
-
-    # ------------------------------------------------------------------
-    # The stream
-    # ------------------------------------------------------------------
-    def submit(self, job: SessionJob):
-        """Execute one job immediately; returns its result/acknowledgement."""
-        return self._shard.execute(job)
+    #: Execute one job immediately; returns its result/acknowledgement.
+    submit = SessionShard.execute
 
     def run_stream(self, jobs: Iterable[SessionJob]) -> List[object]:
         """Run a job stream; results come back in job order.
@@ -228,57 +148,30 @@ class CountingSession:
         jobs = list(jobs)
         results: List[Optional[object]] = [None] * len(jobs)
         pending: List[tuple] = []  # (result index, CountJob)
-
-        def flush() -> None:
-            if not pending:
-                return
-            batch = self._service.run_batch([job for _, job in pending])
-            for (index, _), result in zip(pending, batch):
-                results[index] = result
-            compiled = sum(
-                1 for result in batch
-                if getattr(result, "strategy", None) == "compiled"
-            )
-            self._shard.note_engine_counts(len(pending), compiled)
-            pending.clear()
-
         for index, job in enumerate(jobs):
             if isinstance(job, CountRequest):
-                maintained, engine_job = self._shard.route_count(job)
+                maintained, engine_job = self.route_count(job)
                 if maintained is not None:
                     results[index] = maintained
                 else:
                     pending.append((index, engine_job))
             else:
-                results[index] = self.submit(job)
-        flush()
+                results[index] = self.execute(job)
+        batch = self._service.run_batch([job for _, job in pending])
+        for (index, _), result in zip(pending, batch):
+            results[index] = result
+            if result.strategy == "compiled":
+                self.compiled_counts += 1
+        self.engine_counts += len(batch)
         return results  # type: ignore[return-value]
 
-    # ------------------------------------------------------------------
     def stats(self) -> dict:
-        """Session counters plus the underlying service/cache snapshot."""
+        """Session counters over a flat service/plan-cache snapshot."""
         snapshot = self._service.stats()
-        shard_snapshot = self._shard.stats()
-        snapshot.update({
-            "databases": shard_snapshot["databases"],
-            "maintained_counts": shard_snapshot["maintained_counts"],
-            "reduced_counts": shard_snapshot["reduced_counts"],
-            "engine_counts": shard_snapshot["engine_counts"],
-            "compiled_counts": shard_snapshot["compiled_counts"],
-            "updates_applied": shard_snapshot["updates_applied"],
-            "maintainers": shard_snapshot["maintainers"],
-        })
+        shard_snapshot = super().stats()
+        del shard_snapshot["plan_cache"]
+        snapshot.update(shard_snapshot)
         return snapshot
-
-    def close(self) -> None:
-        self._shard.close()
-        self._service.close()
-
-    def __enter__(self) -> "CountingSession":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 # ----------------------------------------------------------------------
@@ -306,22 +199,11 @@ def job_from_spec(spec: dict, where: str = "<stream>") -> SessionJob:
                 label=label,
             )
         if op == "count":
-            max_degree = spec.get("max_degree")
-            deadline_ms = spec.get("deadline_ms")
-            error_budget = spec.get("error_budget")
             request = CountRequest(
                 query=parse_query(spec["query"]),
                 database=spec["database"],
-                method=spec.get("method", "auto"),
-                max_width=int(spec.get("max_width", 3)),
-                max_degree=(math.inf if max_degree is None
-                            else float(max_degree)),
-                hybrid_width=int(spec.get("hybrid_width", 2)),
                 label=label,
-                deadline_ms=(None if deadline_ms is None
-                             else float(deadline_ms)),
-                error_budget=(None if error_budget is None
-                              else float(error_budget)),
+                **count_options_from_spec(spec),
             )
             waited_ms = spec.get("waited_ms")
             if waited_ms is not None:
@@ -382,15 +264,7 @@ def job_to_spec(job: SessionJob) -> dict:
                 "relations": database_to_dict(job.database)}
     elif isinstance(job, CountRequest):
         spec = {"op": "count", "query": query_to_text(job.query),
-                "database": job.database, "method": job.method,
-                "max_width": job.max_width,
-                "hybrid_width": job.hybrid_width}
-        if not math.isinf(job.max_degree):
-            spec["max_degree"] = job.max_degree
-        if job.deadline_ms is not None:
-            spec["deadline_ms"] = job.deadline_ms
-        if job.error_budget is not None:
-            spec["error_budget"] = job.error_budget
+                "database": job.database, **count_options_to_spec(job)}
         submitted_at = getattr(job, "submitted_at", None)
         if submitted_at is not None:
             # The deadline covers the whole request, so queue wait

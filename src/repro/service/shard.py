@@ -10,11 +10,12 @@ maintainability memo.  It executes one session job at a time —
 :class:`~repro.service.session.AttachDatabase` — synchronously in
 whatever thread (or process) its owner confines it to.
 
-Two front ends are built on top of it:
+Each shard owns its :class:`~repro.service.CountingService` engine
+fallback, and two front ends are built from it:
 
 * :class:`~repro.service.session.CountingSession` — the single-writer
-  session is exactly one shard plus stream batching through a
-  :class:`~repro.service.CountingService` worker pool;
+  session *is* a shard, plus stream batching through its service's
+  worker pool;
 * :class:`~repro.service.router.MultiWriterSession` — the sharded
   front end hash-partitions databases onto N shards, each driven by its
   own single-worker executor, so writer streams to distinct databases
@@ -39,7 +40,7 @@ from ..dynamic.maintainer import (
     DEFAULT_REDUCED_WIDTH,
     MaintainerPool,
 )
-from ..dynamic.reduced import MAINTAINED_CLASS_VERSION, ReducedMaintainer
+from ..dynamic.reduced import ReducedMaintainer
 from ..dynamic.updates import Insert, Update, apply_update
 from ..exceptions import (
     DecompositionNotFoundError,
@@ -55,14 +56,16 @@ class SessionShard:
 
     Parameters
     ----------
-    service:
-        The :class:`CountingService` engine fallback.  When omitted an
-        inline service is created (sharded front ends run one shard per
-        worker; parallelism comes from the shards, not nested pools).
-    plan_cache, cache_dir:
-        Forwarded to the created service (ignored when *service* is
-        given).  Thread-mode shards share one plan cache; process-mode
-        shards each own theirs, warm-started through *cache_dir*.
+    databases:
+        Named databases attached at construction.
+    workers, mode, plan_cache, cache_dir:
+        The shard's own :class:`CountingService` engine fallback.
+        Sharded front ends keep the inline default (parallelism comes
+        from the shards, not nested pools); the single-writer
+        :class:`~repro.service.session.CountingSession` batches its
+        stream through a pool.  Thread-mode shards share one plan cache;
+        process-mode shards each own theirs, warm-started through
+        *cache_dir*.
     maintain, maintainer_capacity, maintainer_budget_bytes,
     maintainer_spill_dir:
         The maintained-path knobs: the pool's entry-count bound, its
@@ -79,7 +82,8 @@ class SessionShard:
         A display name surfaced in :meth:`stats` (``"shard0"``, ...).
     """
 
-    def __init__(self, service: Optional[CountingService] = None,
+    def __init__(self, databases: Optional[Dict[str, Database]] = None,
+                 workers: int = 0, mode: str = "auto",
                  plan_cache: Optional[PlanCache] = None,
                  cache_dir: Optional[str] = None,
                  maintain: bool = True,
@@ -89,19 +93,14 @@ class SessionShard:
                  maintain_reduced: bool = True,
                  reduced_max_width: int = DEFAULT_REDUCED_WIDTH,
                  label: Optional[str] = None):
-        if service is None:
-            service = CountingService(workers=0, mode="auto",
-                                      plan_cache=plan_cache,
-                                      cache_dir=cache_dir)
-            self._owns_service = True
-            if plan_cache is None and label is not None:
-                # A private cache (process-mode shards): make its stats
-                # attributable in aggregated per-shard snapshots.
-                service.plan_cache.label = label
-        else:
-            self._owns_service = False
-        self._service = service
-        self.plan_cache = service.plan_cache
+        self._service = CountingService(workers=workers, mode=mode,
+                                        plan_cache=plan_cache,
+                                        cache_dir=cache_dir)
+        if plan_cache is None and label is not None:
+            # A private cache (process-mode shards): make its stats
+            # attributable in aggregated per-shard snapshots.
+            self._service.plan_cache.label = label
+        self.plan_cache = self._service.plan_cache
         self.maintain = maintain
         self.label = label
         self._databases: Dict[str, Database] = {}
@@ -116,15 +115,10 @@ class SessionShard:
         #: Updates applied to a database but not yet folded into its
         #: maintainers (delta batching: one propagation per *read*).
         self._pending_deltas: Dict[str, List[Update]] = {}
-        #: fingerprint -> ``(probe version, verdict)``.  Probing costs a
-        #: join-tree attempt (and possibly a #-decomposition search), so
-        #: the verdict is memoized per shape — but *versioned* by
-        #: :data:`~repro.dynamic.reduced.MAINTAINED_CLASS_VERSION`: a
-        #: ``False`` recorded when the maintained class was narrower
-        #: (e.g. the version-1 quantifier-free-only probe, or a carried-
-        #: over legacy plain-``bool`` entry) is stale, not a verdict, and
-        #: is re-probed instead of pinning the shape to recounts forever.
-        self._maintainable: Dict[tuple, tuple] = {}
+        #: fingerprint -> maintainable?  Probing costs a join-tree
+        #: attempt (and possibly a #-decomposition search), so the
+        #: verdict is memoized per shape.
+        self._maintainable: Dict[tuple, bool] = {}
         self.maintained_counts = 0
         self.reduced_counts = 0
         self.engine_counts = 0
@@ -133,22 +127,8 @@ class SessionShard:
         #: ``engine_counts``.
         self.compiled_counts = 0
         self.updates_applied = 0
-
-    def _memo_verdict(self, fingerprint) -> Optional[bool]:
-        """The memoized maintainability verdict, or ``None`` when the
-        shape is unknown or its cached verdict predates the current
-        maintained class (stale entries are dropped and re-probed)."""
-        entry = self._maintainable.get(fingerprint)
-        if (isinstance(entry, tuple) and len(entry) == 2
-                and entry[0] == MAINTAINED_CLASS_VERSION):
-            return entry[1]
-        if entry is not None:
-            del self._maintainable[fingerprint]
-        return None
-
-    def _memoize_verdict(self, fingerprint, verdict: bool) -> None:
-        self._maintainable[fingerprint] = (MAINTAINED_CLASS_VERSION,
-                                           verdict)
+        for name, database in (databases or {}).items():
+            self.attach_database(name, database)
 
     # ------------------------------------------------------------------
     # Databases
@@ -196,12 +176,10 @@ class SessionShard:
     def checkpoint_database(self, name: str) -> dict:
         """A wire-shippable snapshot of the named database.
 
-        The payload is pure data (relation rows, no live indexes or
-        maintainers) — the receiving shard rebuilds maintainers lazily
-        from the restored database, exactly as it would after a fresh
-        attach.  Callers wrap it in a verifying envelope
-        (:func:`~repro.decomposition.serialize.serialize_handoff_state`)
-        before shipping.
+        The payload is plain JSON data (relation rows, no live indexes
+        or maintainers) and ships as such inside a checksummed frame;
+        the receiving shard rebuilds maintainers lazily from the
+        restored database, exactly as it would after a fresh attach.
         """
         database = self.database(name)
         return {
@@ -213,12 +191,15 @@ class SessionShard:
     def restore_database(self, name: str, payload: dict) -> dict:
         """Adopt a :meth:`checkpoint_database` snapshot as *name*.
 
-        The payload must name the same database it is restored as (a
-        misrouted handoff is refused before any state changes); the
-        restore itself is an attach, so a replaced database drops its
-        maintainers and invalidates its data-dependent plans.
+        The payload must name the same database it is restored as and
+        carry well-formed relations (a misrouted or malformed handoff is
+        refused before any state changes); the restore itself is an
+        attach, so a replaced database drops its maintainers and
+        invalidates its data-dependent plans.
         """
-        if not isinstance(payload, dict) or "relations" not in payload:
+        relations = (payload.get("relations") if isinstance(payload, dict)
+                     else None)
+        if not isinstance(relations, dict):
             raise ReproError(
                 f"handoff payload for {name!r} carries no relations"
             )
@@ -227,8 +208,14 @@ class SessionShard:
                 f"handoff payload names database "
                 f"{payload.get('database')!r}, not {name!r}"
             )
-        return self.attach_database(name,
-                                    database_from_dict(payload["relations"]))
+        try:
+            database = database_from_dict(relations)
+        except (TypeError, ValueError) as error:
+            raise ReproError(
+                f"handoff payload for {name!r} has malformed relations: "
+                f"{error}"
+            ) from None
+        return self.attach_database(name, database)
 
     # ------------------------------------------------------------------
     # Updates
@@ -286,7 +273,7 @@ class SessionShard:
         if not self.maintain or request.method not in ("auto", "maintained"):
             return None
         form = self.plan_cache.canonical(request.query)
-        if self._memo_verdict(form.fingerprint) is False:
+        if self._maintainable.get(form.fingerprint) is False:
             return None
         # The maintainer must see every applied update before it is read
         # (and before a fresh DP is built from the current version).
@@ -297,9 +284,9 @@ class SessionShard:
                 request.database, request.query, database, form
             )
         except (NotAcyclicError, DecompositionNotFoundError):
-            self._memoize_verdict(form.fingerprint, False)
+            self._maintainable[form.fingerprint] = False
             return None
-        self._memoize_verdict(form.fingerprint, True)
+        self._maintainable[form.fingerprint] = True
         entry.served += 1
         self.maintained_counts += 1
         reduced = isinstance(entry.counter, ReducedMaintainer)
@@ -393,13 +380,6 @@ class SessionShard:
             self.compiled_counts += 1
         return result
 
-    def note_engine_counts(self, n: int, compiled: int = 0) -> None:
-        """Account engine-bound counts executed on the shard's behalf
-        (the single-writer session batches them through its worker
-        pool); *compiled* of them were served by the compiled tier."""
-        self.engine_counts += n
-        self.compiled_counts += compiled
-
     # ------------------------------------------------------------------
     # The uniform job interface (what shard workers execute)
     # ------------------------------------------------------------------
@@ -438,8 +418,7 @@ class SessionShard:
 
     def close(self) -> None:
         self._maintainers.close()
-        if self._owns_service:
-            self._service.close()
+        self._service.close()
 
     def __enter__(self) -> "SessionShard":
         return self

@@ -16,6 +16,10 @@ Four layers, tested bottom-up:
 
 from __future__ import annotations
 
+import base64
+import hashlib
+import os
+import pickle
 import socket
 import time
 
@@ -26,6 +30,7 @@ from hypothesis import strategies as st
 from repro.counting.plan_cache import PersistentPlanCache
 from repro.db import Database
 from repro.dynamic import Insert
+from repro.exceptions import ReproError
 from repro.query import parse_query
 from repro.service import (
     AttachDatabase,
@@ -76,6 +81,16 @@ def drain_frames(decoder: FrameDecoder) -> list:
         if frame is None:
             return frames
         frames.append(frame)
+
+
+class _MakeDirectory:
+    """Unpickling this creates a directory: a visible side effect."""
+
+    def __init__(self, path: str):
+        self.path = path
+
+    def __reduce__(self):
+        return (os.mkdir, (self.path,))
 
 
 # ----------------------------------------------------------------------
@@ -344,6 +359,49 @@ class TestShardServer:
                                   saturation_patience_ms=0.0)
             assert rejected.value.retry_after_ms > 0
             blocker.close()
+            client.close()
+
+    def test_restore_never_unpickles_a_wire_payload(self, tmp_path):
+        # Regression: restore used to unpickle a base64 "envelope" from
+        # the request, and its SHA-256 is no secret, so any client could
+        # run code on the server.  The payload must be plain data.
+        marker = tmp_path / "side-effect"
+        blob = pickle.dumps(_MakeDirectory(str(marker)))
+        digest = hashlib.sha256(blob).hexdigest().encode("ascii")
+        crafted = base64.b64encode(
+            b"repro-handoff:1:" + digest + b":" + blob).decode("ascii")
+        with ShardServer(shards=1) as server:
+            client = ShardClient(server.address)
+            client.configure("h/shard0", {})
+            client.submit_job("h/shard0", AttachDatabase("db", small_db()))
+            with pytest.raises(ReproError):
+                client.request({"op": "restore", "shard": "h/shard0",
+                                "database": "db", "envelope": crafted,
+                                "payload": crafted})
+            assert not marker.exists()
+            assert client.submit_job(
+                "h/shard0", CountRequest(PATH, "db")).count == 4
+            client.close()
+
+    @pytest.mark.parametrize("relations", [
+        [["r", 1, 10]],                           # not an object
+        {"r": [1, 10]},                           # rows are not lists
+        {"r": [[1, 10], [2]]},                    # ragged arity
+        {"r": [[{"x": 1}, 10]]},                  # unhashable value
+        {"__arities__": 2, "r": [[1, 10]]},       # arity map not an object
+    ])
+    def test_restore_refuses_malformed_relations_unchanged(self, relations):
+        with ShardServer(shards=1) as server:
+            client = ShardClient(server.address)
+            client.configure("m/shard0", {})
+            client.submit_job("m/shard0", AttachDatabase("db", small_db()))
+            checkpoint = client.checkpoint("m/shard0", "db")
+            assert checkpoint["relations"]["r"]  # plain rows, no pickle
+            with pytest.raises(ReproError):
+                client.restore("m/shard0", "db",
+                               {**checkpoint, "relations": relations})
+            assert client.submit_job(
+                "m/shard0", CountRequest(PATH, "db")).count == 4
             client.close()
 
     def test_stall_requires_chaos_opt_in(self):

@@ -41,7 +41,6 @@ from repro.dynamic import (
     ReducedMaintainer,
     apply_update,
 )
-from repro.dynamic.reduced import MAINTAINED_CLASS_VERSION
 from repro.exceptions import DecompositionNotFoundError
 from repro.query import parse_query
 from repro.query.canonical import canonical_form
@@ -286,10 +285,7 @@ class TestDeltaReducerProperty:
         import pickle
 
         from repro.consistency.delta import DeltaReducer
-        from repro.consistency.local import (
-            CompiledDeltaReducer,
-            CompiledReducer,
-        )
+        from repro.consistency.local import CompiledReducer
 
         rng = random.Random(seed * 31 + 5)
         for _trial in range(6):
@@ -301,12 +297,8 @@ class TestDeltaReducerProperty:
                 for schema in schemas
             ]
             delta = DeltaReducer(schemas, tree)
-            compiled_delta = CompiledDeltaReducer(schemas, tree)
             compiled = CompiledReducer(schemas, tree)
             seeded = delta.reduce([frozenset(bag) for bag in rows])
-            assert seeded == compiled_delta.reduce(
-                [frozenset(bag) for bag in rows]
-            )
             assert seeded == self.batch_expectation(schemas, tree, rows)
             for step in range(10):
                 bag = rng.randrange(n)
@@ -321,28 +313,23 @@ class TestDeltaReducerProperty:
                 ))
                 rows[bag] = (rows[bag] - removed) | added
                 delta.apply(bag, added, removed)
-                compiled_delta.apply(bag, added, removed)
                 expect = self.batch_expectation(schemas, tree, rows)
                 assert expect == compiled.reduce(
                     [frozenset(bag_rows) for bag_rows in rows]
                 )
-                for reducer in (delta, compiled_delta):
-                    gated = reducer.any_empty()
-                    state = [frozenset() if gated else reducer.survivors(i)
-                             for i in range(n)]
-                    assert expect == state
-                    assert [reducer.survivor_count(i) for i in range(n)] \
-                        == [len(reducer.survivors(i)) for i in range(n)]
+                gated = delta.any_empty()
+                state = [frozenset() if gated else delta.survivors(i)
+                         for i in range(n)]
+                assert expect == state
+                assert [delta.survivor_count(i) for i in range(n)] \
+                    == [len(delta.survivors(i)) for i in range(n)]
                 if step == 4:
                     # Mid-stream pickle round trip relinks the key
                     # extractors and keeps every counter.
                     delta = pickle.loads(pickle.dumps(delta))
-                    compiled_delta = pickle.loads(
-                        pickle.dumps(compiled_delta)
-                    )
 
     def test_steps_relink_matches_fresh_construction(self):
-        from repro.consistency.local import CompiledDeltaReducer
+        from repro.consistency.delta import DeltaReducer
 
         rng = random.Random(99)
         tree, schemas = self.random_tree(rng)
@@ -350,8 +337,8 @@ class TestDeltaReducerProperty:
             {tuple(rng.randrange(3) for _ in schema) for _ in range(5)}
             for schema in schemas
         ]
-        original = CompiledDeltaReducer(schemas, tree)
-        relinked = CompiledDeltaReducer.from_steps(original.steps())
+        original = DeltaReducer(schemas, tree)
+        relinked = DeltaReducer.from_steps(original.steps())
         assert original.steps() == relinked.steps()
         assert original.reduce([frozenset(bag) for bag in rows]) \
             == relinked.reduce([frozenset(bag) for bag in rows])
@@ -431,7 +418,7 @@ class TestReducedMaintainerPool:
             for value in range(20, 40):
                 session.update("main", Insert("r", (value, value)))
             session.count(CountRequest(QUANT, "main"))  # repairs lazily
-            pool = session._shard._maintainers
+            pool = session._maintainers
             [entry] = pool._entries.values()
             assert entry.resident_bytes == entry.counter.estimated_bytes()
             assert pool.resident_bytes() == entry.resident_bytes
@@ -532,37 +519,15 @@ class TestReducedMaintainerPool:
 
 
 # ----------------------------------------------------------------------
-# The maintainability memo: stale verdicts are re-probed
+# The maintainability memo: one plain verdict per shape
 # ----------------------------------------------------------------------
 class TestMaintainabilityMemoVersioning:
-    def test_stale_false_verdict_is_reprobed_and_maintained(self):
-        """Regression: a fingerprint cached ``False`` under the old
-        quantifier-free-only probe must not pin the shape to recounts
-        now that reduction-based maintenance exists."""
-        rng = random.Random(1)
-        database = seed_database(rng)
-        with CountingSession(databases={"main": database}) as session:
-            shard = session._shard
-            form = shard.plan_cache.canonical(QUANT)
-            # Simulate the version-1 probe's verdict (both the legacy
-            # plain-bool layout and an explicitly versioned one).
-            shard._maintainable[form.fingerprint] = False
-            result = session.count(CountRequest(QUANT, "main"))
-            assert result.strategy == "maintained"
-            assert result.details["reduced"] is True
-            shard._maintainable[form.fingerprint] = (1, False)
-            assert session.count(
-                CountRequest(QUANT, "main")).strategy == "maintained"
-
     def test_current_false_verdict_short_circuits(self):
         rng = random.Random(1)
         database = seed_database(rng)
         with CountingSession(databases={"main": database}) as session:
-            shard = session._shard
-            form = shard.plan_cache.canonical(QUANT)
-            shard._maintainable[form.fingerprint] = (
-                MAINTAINED_CLASS_VERSION, False
-            )
+            form = session.plan_cache.canonical(QUANT)
+            session._maintainable[form.fingerprint] = False
             result = session.count(CountRequest(QUANT, "main"))
             assert result.strategy != "maintained"
             assert result.count == count_answers(QUANT, database).count
@@ -571,9 +536,6 @@ class TestMaintainabilityMemoVersioning:
         rng = random.Random(1)
         database = seed_database(rng)
         with CountingSession(databases={"main": database}) as session:
-            shard = session._shard
             session.count(CountRequest(QUANT, "main"))
-            form = shard.plan_cache.canonical(QUANT)
-            assert shard._maintainable[form.fingerprint] == (
-                MAINTAINED_CLASS_VERSION, True
-            )
+            form = session.plan_cache.canonical(QUANT)
+            assert session._maintainable[form.fingerprint] is True

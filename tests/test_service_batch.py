@@ -9,7 +9,6 @@ shared databases, and the ``python -m repro batch`` subcommand.
 from __future__ import annotations
 
 import json
-import math
 import os
 
 import pytest
@@ -27,6 +26,14 @@ from repro.service import (
 from repro.workloads.batch_jobs import batch_jobs, write_batch_job_file
 
 WORKERS = max(2, int(os.environ.get("REPRO_SERVICE_WORKERS", "2") or 2))
+
+
+def count_options(job) -> dict:
+    """The seven count fields a job file and a session stream carry."""
+    return {name: getattr(job, name)
+            for name in ("method", "max_width", "max_degree",
+                         "hybrid_width", "label", "deadline_ms",
+                         "error_budget")}
 
 
 @pytest.fixture
@@ -163,18 +170,33 @@ class TestDetailsSerialization:
 class TestJobFiles:
     def test_round_trip_preserves_jobs_and_shares_databases(self, tmp_path,
                                                             small_jobs):
+        from repro.service import CountRequest, dump_stream, load_stream
+
+        template = small_jobs[0]
+        every_option = CountJob(
+            template.query, template.database, method="structural",
+            max_width=2, max_degree=7.0, hybrid_width=3,
+            label="every-option", deadline_ms=250.0, error_budget=0.05,
+        )
+        jobs = small_jobs + [every_option]
         path = tmp_path / "jobs.json"
-        dump_jobs(str(path), small_jobs)
+        dump_jobs(str(path), jobs)
         loaded = load_jobs(str(path))
-        assert len(loaded) == len(small_jobs)
-        for original, restored in zip(small_jobs, loaded):
-            assert restored.query.atoms == original.query.atoms
-            assert restored.query.free_variables == \
-                original.query.free_variables
+        # The same options through the session stream format.
+        stream = tmp_path / "stream.jsonl"
+        dump_stream(str(stream), [
+            CountRequest(job.query, "db", **count_options(job))
+            for job in jobs
+        ])
+        streamed = load_stream(str(stream))
+        assert len(loaded) == len(streamed) == len(jobs)
+        for original, restored, replayed in zip(jobs, loaded, streamed):
+            for copy in (restored, replayed):
+                assert copy.query.atoms == original.query.atoms
+                assert copy.query.free_variables == \
+                    original.query.free_variables
+                assert count_options(copy) == count_options(original)
             assert restored.database == original.database
-            assert restored.method == original.method
-            assert restored.max_width == original.max_width
-            assert math.isinf(restored.max_degree)
         # Jobs of the same shape share one database *instance*.
         assert loaded[0].database is loaded[2].database
 
