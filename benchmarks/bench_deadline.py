@@ -37,7 +37,6 @@ from repro.envknobs import isolated_repro_env
 from repro.query.parser import parse_query
 from repro.service import (
     SESSION_SHARDS_ENV,
-    SHARD_MODE_ENV,
     CountRequest,
     MultiWriterSession,
     UpdateRequest,
@@ -71,7 +70,6 @@ def _isolated_from_configured_session_env():
     return isolated_repro_env(**{
         MAINTAINER_BUDGET_ENV: None,
         SESSION_SHARDS_ENV: None,
-        SHARD_MODE_ENV: None,
         SHARD_ADDRS_ENV: None,
     })
 

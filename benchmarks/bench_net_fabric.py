@@ -43,7 +43,6 @@ from repro.envknobs import isolated_repro_env
 from repro.query.parser import parse_query
 from repro.service import (
     SESSION_SHARDS_ENV,
-    SHARD_MODE_ENV,
     AttachDatabase,
     CountRequest,
     CountingSession,
@@ -92,7 +91,6 @@ CHAOS_PLAN = FaultPlan(drop_every=13, duplicate_every=11,
 _ISOLATION_PINS = {
     MAINTAINER_BUDGET_ENV: None,
     SESSION_SHARDS_ENV: None,
-    SHARD_MODE_ENV: None,
     SHARD_ADDRS_ENV: None,
     NET_TIMEOUT_ENV: None,
     NET_RETRIES_ENV: None,

@@ -51,7 +51,6 @@ from repro.envknobs import isolated_repro_env
 from repro.query.parser import parse_query
 from repro.service import (
     SESSION_SHARDS_ENV,
-    SHARD_MODE_ENV,
     CountRequest,
     CountingSession,
     UpdateRequest,
@@ -97,7 +96,6 @@ def _isolated_from_configured_env():
         MAINTAINER_BUDGET_ENV: None,
         SESSION_SHARDS_ENV: None,
         PLAN_CACHE_DIR_ENV: None,
-        SHARD_MODE_ENV: None,
         SHARD_ADDRS_ENV: None,
     })
 

@@ -4,17 +4,18 @@ The two acceptance bars of ISSUE 4, asserted here and recorded into
 ``BENCH_kernel.json`` by ``run_all.py``:
 
 * **2-shard multi-writer >= 1.5x** — four maintained star databases,
-  every worker process holding the *same fixed maintainer byte budget*
-  (it fits two of the four DPs).  The single-writer session replays the
-  four writers' interleaved streams through one worker: its round-robin
+  every shard holding the *same fixed maintainer byte budget* (it fits
+  two of the four DPs).  The single-writer session replays the four
+  writers' interleaved streams through one worker: its round-robin
   database switches LRU-thrash the budget — every read restores a
   checkpoint (spill + delta replay).  The sharded session
-  (``MultiWriterSession(shards=2, shard_mode="process")``) runs the
+  (``MultiWriterSession(shards=2, shard_mode="thread")``) runs the
   same jobs with the databases hash-partitioned two-per-shard: each
-  shard's slice fits its budget, so reads stay resident — and on
-  multi-core hosts the two shard processes additionally run in
-  parallel.  The bar is >= 1.5x on the same jobs, and holds on a
-  single-core host from the avoided thrash alone.
+  shard's slice fits its budget, so reads stay resident.  The win comes
+  from those per-shard budgets, not from parallel CPUs, so thread
+  shards measure it directly; shards in worker processes only made it
+  smaller (process spawn plus pickling every job and result).  The bar
+  is >= 1.5x on the same jobs.
 * **spill-forced session stays correct under its cap** — a session
   whose budget is deliberately too small for its working set must
   (a) produce exactly the counts of an unbudgeted session on the same
@@ -37,7 +38,6 @@ from repro.envknobs import isolated_repro_env
 from repro.query.parser import parse_query
 from repro.service import (
     SESSION_SHARDS_ENV,
-    SHARD_MODE_ENV,
     AttachDatabase,
     CountRequest,
     CountingSession,
@@ -78,14 +78,13 @@ def _isolated_from_configured_session_env():
 
     The sharded CI leg sets a tiny ``REPRO_MAINTAINER_BUDGET_MB`` (and
     ``REPRO_SESSION_SHARDS``) for the whole suite, and the net leg
-    routes sessions to TCP shard servers via ``REPRO_SHARD_MODE`` /
-    ``REPRO_SHARD_ADDRS``; this benchmark pins its own budgets and
-    shard modes, so none of that may leak into its sessions.
+    routes sessions to TCP shard servers via ``REPRO_SHARD_ADDRS``;
+    this benchmark pins its own budgets and shard flavour, so none of
+    that may leak into its sessions.
     """
     return isolated_repro_env(**{
         MAINTAINER_BUDGET_ENV: None,
         SESSION_SHARDS_ENV: None,
-        SHARD_MODE_ENV: None,
         SHARD_ADDRS_ENV: None,
     })
 
@@ -163,7 +162,7 @@ def measure_shards() -> dict:
         expected = stream_counts(interleaved, single_results, DB_NAMES)
 
         started = time.perf_counter()
-        with MultiWriterSession(shards=N_SHARDS, shard_mode="process",
+        with MultiWriterSession(shards=N_SHARDS, shard_mode="thread",
                                 maintainer_budget_bytes=BUDGET_BYTES
                                 ) as sharded:
             outcomes = sharded.run_streams(streams)
@@ -180,7 +179,7 @@ def measure_shards() -> dict:
         "shard_workload": f"{N_DATABASES} writers x {ROUNDS} update/count "
                           f"rounds over {BRANCHES}-branch stars "
                           f"({ROWS} rows/branch), "
-                          f"{BUDGET_BYTES} B maintainer budget per worker",
+                          f"{BUDGET_BYTES} B maintainer budget per shard",
         "single_writer_seconds": round(single_seconds, 4),
         "single_writer_restores": single_pool["restored"],
         "sharded_seconds": round(sharded_seconds, 4),

@@ -9,7 +9,7 @@ Count answers to a conjunctive query over a database stored as JSON::
     python -m repro faq "ans(A,C) :- r(A,B), s(B,C)" db.json
     python -m repro batch jobs.json --workers 4 --mode process
     python -m repro session jobs.jsonl --cache-dir .plans
-    python -m repro session w0.jsonl w1.jsonl --shards 2 --shard-mode process
+    python -m repro session w0.jsonl w1.jsonl --shards 2
     python -m repro shardserver --listen 127.0.0.1:7070 --shards 2
     python -m repro session w0.jsonl w1.jsonl --shard-addrs 127.0.0.1:7070
     python -m repro bench --profile
@@ -333,15 +333,11 @@ def _cmd_session(args: argparse.Namespace) -> int:
     if args.shard_addrs:
         from .service.net import parse_shard_addrs
 
+        # Addresses imply the TCP fabric.
         session_kwargs["shard_addrs"] = parse_shard_addrs(args.shard_addrs)
-        if args.shard_mode is None:
-            args.shard_mode = "tcp"  # addresses imply the TCP fabric
     payload: List[dict] = []
-    sharded = (args.shards > 0 or len(streams) > 1
-               or bool(args.shard_addrs) or args.shard_mode == "tcp")
-    if sharded:
+    if args.shards > 0 or len(streams) > 1 or args.shard_addrs:
         with MultiWriterSession(shards=args.shards,
-                                shard_mode=args.shard_mode,
                                 cache_dir=args.cache_dir,
                                 max_pending=args.max_pending,
                                 **session_kwargs) as session:
@@ -673,16 +669,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="shard the session onto N workers (hash-"
                              "partitioned by database name; 0 = single-"
                              "writer unless several stream files are given)")
-    session.add_argument("--shard-mode", default=None,
-                         choices=["inline", "thread", "process", "tcp"],
-                         help="shard worker flavor (process = real "
-                              "parallelism, one interpreter per shard; "
-                              "tcp = remote shard servers; default "
-                              "$REPRO_SHARD_MODE or thread)")
     session.add_argument("--shard-addrs", default=None,
                          help="comma-separated host:port shard server "
-                              "addresses (implies --shard-mode tcp; "
-                              "defaults to $REPRO_SHARD_ADDRS)")
+                              "addresses: the shards run there instead "
+                              "of on local threads (defaults to "
+                              "$REPRO_SHARD_ADDRS)")
     session.add_argument("--maintainer-budget-mb", type=float, default=None,
                          help="resident maintainer memory budget per "
                               "shard/session in MB (cold maintainers spill "

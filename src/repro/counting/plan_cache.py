@@ -197,9 +197,9 @@ class PlanCache:
     def __init__(self, plan_capacity: int = 1024,
                  canonical_capacity: int = 1024,
                  label: Optional[str] = None):
-        #: Display name surfaced in :meth:`stats` — the sharded front
-        #: end labels per-shard caches so its aggregated snapshots stay
-        #: attributable ("shard0", ...).
+        #: Display name surfaced in :meth:`stats` — shard servers label
+        #: their caches so aggregated per-shard snapshots stay
+        #: attributable.
         self.label = label
         self._lock = threading.RLock()
         self._plans: "OrderedDict[tuple, object]" = OrderedDict()

@@ -22,12 +22,11 @@ The knobs currently wired through here:
   :func:`repro.counting.engine.cost_units_per_ms` (deadline calibration)
 * ``REPRO_PLAN_CACHE_DIR`` —
   :func:`repro.counting.plan_cache.default_plan_cache`
-* ``REPRO_SHARD_MODE`` — :func:`repro.service.router.default_shard_mode`
-  (the default ``MultiWriterSession`` shard flavor; the CI ``net`` leg
-  sets ``tcp``)
 * ``REPRO_SHARD_ADDRS`` — comma-separated ``host:port`` shard server
-  addresses for ``shard_mode='tcp'``
-  (:func:`repro.service.net.default_shard_addrs`)
+  addresses (:func:`repro.service.net.default_shard_addrs`); when set,
+  a ``MultiWriterSession`` built without an explicit ``shard_mode``
+  runs ``tcp`` shards on those servers (the CI ``net`` leg sets only
+  this)
 * ``REPRO_NET_TIMEOUT_MS`` / ``REPRO_NET_RETRIES`` — per-request
   timeout and transport retry budget of the networked shard clients
   (:mod:`repro.service.net.client`)

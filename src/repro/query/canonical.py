@@ -384,4 +384,4 @@ def random_renaming(query: ConjunctiveQuery, seed: Optional[int] = None,
         rng.shuffle(slots)
         symbol_map = {s: f"q{t}_{prefix.lower()}" for s, t in zip(symbols, slots)}
     return rename_query(query, variable_map, symbol_map,
-                        name=f"{query.name}~{prefix}")
+                        name=f"{query.name}_{prefix}")

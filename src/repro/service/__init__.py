@@ -2,7 +2,7 @@
 
 See ARCHITECTURE.md, sections "Batch service & plan cache",
 "Streaming sessions", and "Networked shard fabric".  The socket
-transport itself (frame codec, shard servers, remote handles, the
+transport itself (frame codec, shard servers, remote shards, the
 directory control plane, fault injection) lives in
 :mod:`repro.service.net`."""
 
@@ -31,12 +31,11 @@ from .jobs import (
 from .router import (
     DEFAULT_RETRY_AFTER_MS,
     SESSION_SHARDS_ENV,
-    SHARD_MODE_ENV,
     SHARD_MODES,
     MultiWriterSession,
     SessionRouter,
     ShardSaturatedError,
-    default_shard_mode,
+    ShardWorker,
     default_shards,
 )
 from .service import MODES, CountingService, default_workers
@@ -68,13 +67,12 @@ __all__ = [
     "PersistentPlanCache",
     "PlanCache",
     "SESSION_SHARDS_ENV",
-    "SHARD_MODE_ENV",
     "SHARD_MODES",
     "SessionJob",
     "SessionRouter",
     "SessionShard",
+    "ShardWorker",
     "UpdateRequest",
-    "default_shard_mode",
     "default_shards",
     "canonical_form",
     "default_plan_cache",

@@ -12,7 +12,8 @@ SessionShard` workers to first-class network services:
   graceful drain.
 * :mod:`~repro.service.net.client` — :class:`ShardClient` (framed
   request/response with timeouts and capped-backoff retries) and
-  :class:`RemoteShardHandle` (the session handle contract over TCP).
+  :class:`RemoteShard` (one session shard on a server, as
+  :class:`~repro.service.router.ShardWorker` drives it).
 * :mod:`~repro.service.net.directory` — :class:`ShardDirectory`, the
   control plane assigning databases to addresses with graceful handoff
   and crash failover built on data-only checkpoint snapshots.
@@ -32,7 +33,7 @@ from .client import (
     NET_RETRIES_ENV,
     NET_TIMEOUT_ENV,
     SHARD_ADDRS_ENV,
-    RemoteShardHandle,
+    RemoteShard,
     ShardClient,
     backoff_ms,
     default_net_retries,
@@ -82,8 +83,8 @@ __all__ = [
     "FrameError",
     "PlanCacheKVServer",
     "RemotePlanCache",
+    "RemoteShard",
     "RemoteShardError",
-    "RemoteShardHandle",
     "ShardClient",
     "ShardDirectory",
     "ShardServer",

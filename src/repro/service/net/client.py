@@ -1,4 +1,4 @@
-"""Clients of the shard server: request/response plus the handle contract.
+"""Clients of the shard server: request/response plus the remote shard.
 
 :class:`ShardClient` is the low-level synchronous protocol client: one
 TCP connection, framed request/response with per-request timeouts and
@@ -10,22 +10,18 @@ from the server's reply memory, never re-executed.  Saturation
 executed, so the client waits out the server's ``retry_after_ms`` hint
 and resubmits under a fresh id, up to a bounded patience.
 
-:class:`RemoteShardHandle` wraps a client in the exact handle contract
-the in-process shard modes implement (``submit``/``submit_stats``/
-``close`` plus the ``close_errors`` accounting), confined to a private
-single-worker executor so per-shard submission order is preserved —
-which is what lets :class:`~repro.service.router.MultiWriterSession`
-treat ``shard_mode='tcp'`` exactly like its thread and process modes.
+:class:`RemoteShard` gives one server-side shard the interface of a
+local :class:`~repro.service.shard.SessionShard` (``execute``/
+``stats``/``close``), so :class:`~repro.service.router.ShardWorker`
+drives ``tcp`` shards exactly like ``thread`` ones.
 """
 
 from __future__ import annotations
 
 import os
 import socket
-import threading
 import time
 import uuid
-from concurrent.futures import Future, ThreadPoolExecutor
 from typing import List, Optional
 
 from ...envknobs import env_float, env_int
@@ -96,8 +92,9 @@ def backoff_ms(attempt: int) -> float:
 class ShardClient:
     """A synchronous protocol client for one shard server address.
 
-    Not thread-safe — callers serialize (both
-    :class:`RemoteShardHandle` and the directory confine each client).
+    Not thread-safe — callers serialize (a
+    :class:`~repro.service.router.ShardWorker` confines each
+    :class:`RemoteShard`'s client, the directory confines its own).
     """
 
     def __init__(self, address: str, timeout_ms: Optional[float] = None,
@@ -255,16 +252,14 @@ class ShardClient:
         self.close_socket()
 
 
-class RemoteShardHandle:
-    """The shard-handle contract over a :class:`ShardClient`.
+class RemoteShard:
+    """One session-namespaced shard on a shard server.
 
-    ``submit``/``submit_stats`` return futures resolved by a private
-    single-worker executor — the per-shard serialization point, exactly
-    like the thread and process handles.  The first operation lazily
-    sends a ``configure`` request creating the (session-namespaced)
-    shard with this session's maintenance knobs; ``close`` releases the
-    shard server-side (the *server* stays up — it belongs to the fleet,
-    not to one session).
+    The first operation lazily sends a ``configure`` request creating
+    the shard with this session's maintenance knobs; ``close`` releases
+    it server-side (the *server* stays up — it belongs to the fleet,
+    not to one session).  Not thread-safe: a
+    :class:`~repro.service.router.ShardWorker` confines it.
     """
 
     def __init__(self, address: str, shard: str = "shard0",
@@ -277,50 +272,23 @@ class RemoteShardHandle:
         self.shard = shard
         self._config = dict(config or {})
         self._configured = False
-        self._pool = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix=f"remote-{shard}"
-        )
-        self._close_lock = threading.Lock()
-        self._closed = False
-        self.close_errors = 0
-        self.last_close_error: Optional[str] = None
 
-    # All private methods below run on the handle's pool thread only.
     def _ensure_configured(self) -> None:
         if not self._configured:
             self._client.configure(self.shard, self._config)
             self._configured = True
 
-    def _execute(self, job: SessionJob):
+    def execute(self, job: SessionJob):
         self._ensure_configured()
         return self._client.submit_job(self.shard, job)
 
-    def _stats(self) -> dict:
+    def stats(self) -> dict:
         self._ensure_configured()
         return self._client.stats(self.shard)
 
-    def _release(self) -> None:
-        if self._configured:
-            self._client.release([self.shard])
-        self._client.close()
-
-    def submit(self, job: SessionJob) -> Future:
-        return self._pool.submit(self._execute, job)
-
-    def submit_stats(self) -> Future:
-        return self._pool.submit(self._stats)
-
     def close(self) -> None:
-        with self._close_lock:
-            if self._closed:
-                return
-            self._closed = True
         try:
-            self._pool.submit(self._release).result()
-        except Exception as error:
-            # An unreachable server must not abort session shutdown —
-            # but the failure is counted, not dropped (see router
-            # stats()).
-            self.close_errors += 1
-            self.last_close_error = repr(error)
-        self._pool.shutdown()
+            if self._configured:
+                self._client.release([self.shard])
+        finally:
+            self._client.close()

@@ -17,27 +17,23 @@ number of producer threads and fans them out over N
   call it concurrently; :meth:`run_streams` wraps that pattern (one
   producer thread per stream).
 
-Shard workers come in three flavors (``shard_mode``):
+Shards come in two flavours (``shard_mode``), both driven by one
+:class:`ShardWorker`:
 
-* ``"thread"`` — shards are threads sharing one plan cache; the
-  default, cheap, and deterministic enough for tests (counting is
-  GIL-bound, so parallelism is limited);
-* ``"process"`` — each shard is a single-worker process pool holding
-  its databases, maintainers, and plan cache in its own interpreter:
-  real parallelism for concurrent writer streams (the benchmark bar's
-  configuration).  Jobs and results cross the boundary by pickle,
-  which the batch service already guarantees for queries, databases,
-  and :class:`~repro.counting.engine.CountResult`;
-* ``"inline"`` — no workers at all: ``submit`` executes the job before
-  returning a completed future (the deterministic baseline the
-  commutation property tests compare against);
-* ``"tcp"`` — each shard is a :class:`~repro.service.net.client.
-  RemoteShardHandle` driving a session-namespaced shard on a
+* ``"thread"`` — a local :class:`~repro.service.shard.SessionShard`;
+  the shards share one plan cache.  Counting is GIL-bound, so the win
+  over one writer comes from per-shard maintainer budgets, not from
+  parallel CPUs;
+* ``"tcp"`` — a :class:`~repro.service.net.client.RemoteShard`
+  driving a session-namespaced shard on a
   :class:`~repro.service.net.server.ShardServer` over the socket
-  fabric.  Addresses come from ``shard_addrs=`` or
-  ``$REPRO_SHARD_ADDRS``; the default mode itself can be switched with
-  ``$REPRO_SHARD_MODE`` (how the CI ``net`` leg runs the whole session
-  suite over TCP without editing a single test).
+  fabric: real parallelism when the servers run in their own
+  processes (``python -m repro shardserver``).
+
+The flavour follows from the inputs: ``tcp`` when ``shard_addrs=`` or
+``$REPRO_SHARD_ADDRS`` names shard servers, ``thread`` otherwise (the
+CI ``net`` leg runs the whole session suite over TCP by setting only
+the addresses).
 
 Same-database ordering is per *submitter*: two producers racing on the
 same database serialize in whatever order their ``submit`` calls reach
@@ -62,23 +58,13 @@ from ..counting.plan_cache import (
 )
 from ..db.database import Database
 from ..dynamic.maintainer import BUDGET_FROM_ENV
-from ..envknobs import env_choice, env_int
+from ..envknobs import env_int
 from ..exceptions import ReproError
 from .session import AttachDatabase, SessionJob
 from .shard import SessionShard
 
-#: Recognized shard worker flavors.
-SHARD_MODES = ("inline", "thread", "process", "tcp")
-
-#: Environment variable naming the default shard mode (the CI ``net``
-#: leg sets ``tcp``; sessions built without an explicit ``shard_mode``
-#: consult it, then fall back to ``thread``).
-SHARD_MODE_ENV = "REPRO_SHARD_MODE"
-
-
-def default_shard_mode() -> str:
-    """``$REPRO_SHARD_MODE`` when set and recognized, else ``thread``."""
-    return env_choice(SHARD_MODE_ENV, SHARD_MODES, "thread")
+#: Recognized shard flavours.
+SHARD_MODES = ("thread", "tcp")
 
 #: Retry hint when a saturated shard has no completion-latency sample
 #: yet (milliseconds).
@@ -149,124 +135,38 @@ class SessionRouter:
         return self.shard_of(self.database_of(job))
 
 
-# ----------------------------------------------------------------------
-# Process-mode shard workers: one core per worker process, module-global
-# so it survives across the single worker's jobs (the same pattern the
-# batch service uses for its per-worker plan caches).
-# ----------------------------------------------------------------------
-_PROCESS_CORE: Optional[SessionShard] = None
+class ShardWorker:
+    """One shard confined to its serialization point.
 
-
-def _process_shard_init(config: dict) -> None:
-    global _PROCESS_CORE
-    _PROCESS_CORE = SessionShard(**config)
-
-
-def _process_shard_execute(job: SessionJob):
-    return _PROCESS_CORE.execute(job)
-
-
-def _process_shard_stats(_: object = None) -> dict:
-    return _PROCESS_CORE.stats()
-
-
-def _process_shard_close(_: object = None) -> None:
-    _PROCESS_CORE.close()
-
-
-class _InlineHandle:
-    """``submit`` executes immediately (deterministic baseline).
-
-    A per-shard lock keeps the documented thread-safe ``submit``
-    contract even here: concurrent producers serialize on the shard
-    (cores are not thread-safe), they just run on the caller's thread
-    instead of a worker's.
+    *target* is anything with ``execute(job)``, ``stats()`` and
+    ``close()``: a local :class:`~repro.service.shard.SessionShard`
+    (``thread`` shards) or a :class:`~repro.service.net.client.
+    RemoteShard` (``tcp`` shards).  Every call runs on one private
+    worker thread, in submission order, so the jobs of one database
+    execute in the order they were submitted and a stats read never
+    races a mutation.
     """
 
-    def __init__(self, core: SessionShard):
-        self._core = core
-        self._lock = threading.Lock()
+    def __init__(self, target):
+        self.target = target
+        self._pool = ThreadPoolExecutor(max_workers=1,
+                                        thread_name_prefix="shard")
         self.close_errors = 0
         self.last_close_error: Optional[str] = None
 
     def submit(self, job: SessionJob) -> Future:
-        future: Future = Future()
-        try:
-            with self._lock:
-                result = self._core.execute(job)
-            future.set_result(result)
-        except BaseException as error:  # the future carries the failure
-            future.set_exception(error)
-        return future
+        return self._pool.submit(self.target.execute, job)
 
     def submit_stats(self) -> Future:
-        future: Future = Future()
-        with self._lock:
-            future.set_result(self._core.stats())
-        return future
+        return self._pool.submit(self.target.stats)
 
     def close(self) -> None:
         try:
-            self._core.close()
+            self._pool.submit(self.target.close).result()
         except Exception as error:
-            self.close_errors += 1
-            self.last_close_error = repr(error)
-
-
-class _ThreadHandle:
-    """A shard core confined to one worker thread."""
-
-    def __init__(self, core: SessionShard):
-        self._core = core
-        self._pool = ThreadPoolExecutor(max_workers=1)
-        self.close_errors = 0
-        self.last_close_error: Optional[str] = None
-
-    def submit(self, job: SessionJob) -> Future:
-        return self._pool.submit(self._core.execute, job)
-
-    def submit_stats(self) -> Future:
-        # Runs on the shard thread, after every queued job — a stats
-        # read never races a mutation.
-        return self._pool.submit(self._core.stats)
-
-    def close(self) -> None:
-        try:
-            self._pool.submit(self._core.close).result()
-        except Exception as error:
-            # A dying shard core must not abort the session shutdown —
-            # but the failure is counted, not dropped (see stats()).
-            self.close_errors += 1
-            self.last_close_error = repr(error)
-        self._pool.shutdown()
-
-
-class _ProcessHandle:
-    """A shard core confined to one single-worker process pool."""
-
-    def __init__(self, config: dict):
-        # Imported here: only process mode needs multiprocessing.
-        from concurrent.futures import ProcessPoolExecutor
-        self._pool = ProcessPoolExecutor(
-            max_workers=1,
-            initializer=_process_shard_init, initargs=(config,),
-        )
-        self.close_errors = 0
-        self.last_close_error: Optional[str] = None
-
-    def submit(self, job: SessionJob) -> Future:
-        return self._pool.submit(_process_shard_execute, job)
-
-    def submit_stats(self) -> Future:
-        return self._pool.submit(_process_shard_stats)
-
-    def close(self) -> None:
-        try:
-            self._pool.submit(_process_shard_close).result()
-        except Exception as error:
-            # A dead worker cannot clean up; shutdown proceeds
-            # regardless — but the death is *counted*, not silently
-            # swallowed, so a broken shard shows up in session stats.
+            # A dying shard (or an unreachable server) must not abort
+            # the session shutdown — but the failure is counted, not
+            # dropped (see MultiWriterSession.stats()).
             self.close_errors += 1
             self.last_close_error = repr(error)
         self._pool.shutdown()
@@ -283,21 +183,19 @@ class MultiWriterSession:
     shards:
         Shard count; ``0`` means ``$REPRO_SESSION_SHARDS`` or 2.
     shard_mode:
-        One of :data:`SHARD_MODES` (see the module docstring); ``None``
-        (the default) means ``$REPRO_SHARD_MODE`` or ``"thread"``.
+        ``"thread"``, ``"tcp"``, or ``None`` (the default): ``tcp`` when
+        shard server addresses are given, else ``thread``.
     shard_addrs:
-        ``host:port`` shard server addresses for ``shard_mode='tcp'``
-        (``None`` means ``$REPRO_SHARD_ADDRS``).  Shards are spread
-        round-robin over the addresses, each under a session-unique
-        namespace, so many sessions share one server fleet without
-        touching each other's state.
+        ``host:port`` shard server addresses of ``tcp`` shards (``None``
+        means ``$REPRO_SHARD_ADDRS``).  Shards are spread round-robin
+        over the addresses, each under a session-unique namespace, so
+        many sessions share one server fleet without touching each
+        other's state.
     plan_cache, cache_dir:
-        Inline/thread shards share *plan_cache* (one is created when
-        omitted, persistent when a cache directory is configured);
-        process shards each own a per-process cache warm-started from
-        *cache_dir* — an explicit *plan_cache* is rejected there
-        (OS processes cannot share it; the persistent tier is how
-        process shards share plans).
+        Thread shards share *plan_cache* (one is created when omitted,
+        persistent when a cache directory is configured).  TCP shards
+        use their servers' caches, so an explicit *plan_cache* is
+        rejected there.
     maintain, maintainer_capacity, maintainer_budget_bytes,
     maintainer_spill_dir, maintain_reduced:
         Forwarded to every shard's
@@ -327,31 +225,39 @@ class MultiWriterSession:
                  maintain_reduced: bool = True,
                  max_pending: Optional[int] = None,
                  shard_addrs: Optional[Sequence[str]] = None):
-        if shard_mode is None:
-            shard_mode = default_shard_mode()
-        if shard_mode not in SHARD_MODES:
+        if shard_mode not in (None, *SHARD_MODES):
             raise ValueError(f"unknown shard mode {shard_mode!r}; "
                              f"expected one of {SHARD_MODES}")
         if max_pending is not None and max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
-        self.shard_addrs: Optional[List[str]] = None
-        self.shard_namespace: Optional[str] = None
-        if shard_mode == "tcp":
+        if shard_mode != "thread" and not shard_addrs:
             from .net import default_shard_addrs
-            addresses = (list(shard_addrs) if shard_addrs
-                         else default_shard_addrs())
-            if not addresses:
+            shard_addrs = default_shard_addrs()
+        if shard_mode is None:
+            shard_mode = "tcp" if shard_addrs else "thread"
+        if shard_mode == "tcp":
+            if not shard_addrs:
                 raise ValueError(
                     "shard_mode='tcp' needs shard server addresses: "
                     "pass shard_addrs= or set $REPRO_SHARD_ADDRS"
                 )
-            self.shard_addrs = addresses
+            if plan_cache is not None:
+                raise ValueError(
+                    "shard_mode='tcp' cannot share an in-memory "
+                    "plan_cache with remote shard servers; point the "
+                    "servers at a cache directory or KV endpoint "
+                    "(shardserver --cache-dir/--cache-url) instead"
+                )
+            self.shard_addrs: Optional[List[str]] = list(shard_addrs)
             # Default the shard count to the fleet size (still
             # overridable explicitly or via $REPRO_SESSION_SHARDS).
             self.shards = (int(shards) if shards
                            else max(env_int(SESSION_SHARDS_ENV, 0), 0)
-                           or len(addresses))
+                           or len(self.shard_addrs))
+        elif shard_addrs:
+            raise ValueError("shard_mode='thread' takes no shard_addrs")
         else:
+            self.shard_addrs = None
             self.shards = int(shards) if shards else default_shards()
         self.shard_mode = shard_mode
         self.max_pending = max_pending
@@ -359,7 +265,7 @@ class MultiWriterSession:
             cache_dir = os.environ.get(PLAN_CACHE_DIR_ENV) or None
         self.cache_dir = cache_dir
         self._router = SessionRouter(self.shards)
-        self._handles: List[object] = []
+        self._handles: List[ShardWorker] = []
         self._closed = False
         self._close_lock = threading.Lock()
         # Admission state: per-shard in-flight counters plus an EWMA of
@@ -370,79 +276,52 @@ class MultiWriterSession:
         self._latency_ms: List[Optional[float]] = [None] * self.shards
         self._rejected = 0
         if shard_mode == "tcp":
-            if plan_cache is not None:
-                raise ValueError(
-                    "shard_mode='tcp' cannot share an in-memory "
-                    "plan_cache with remote shard servers; point the "
-                    "servers at a cache directory or KV endpoint "
-                    "(shardserver --cache-dir/--cache-url) instead"
-                )
-            from .net import RemoteShardHandle
+            from .net import RemoteShard
             self.plan_cache = None  # server-side caches; see stats()
-            self.shard_namespace = uuid.uuid4().hex[:12]
-            for index in range(self.shards):
-                config = {
-                    "maintain": maintain,
-                    "maintainer_capacity": maintainer_capacity,
-                    "maintain_reduced": maintain_reduced,
-                }
-                if maintainer_budget_bytes is not BUDGET_FROM_ENV:
-                    config["maintainer_budget_bytes"] = \
-                        maintainer_budget_bytes
-                spill = self._shard_spill_dir(maintainer_spill_dir, index)
-                if spill is not None:
-                    config["maintainer_spill_dir"] = spill
-                self._handles.append(RemoteShardHandle(
-                    self.shard_addrs[index % len(self.shard_addrs)],
-                    shard=f"{self.shard_namespace}/shard{index}",
-                    config=config,
-                ))
-        elif shard_mode == "process":
-            if plan_cache is not None:
-                raise ValueError(
-                    "shard_mode='process' cannot share an in-memory "
-                    "plan_cache across shard processes; pass cache_dir= "
-                    "to share plans through the persistent tier instead"
+            self.shard_namespace: Optional[str] = uuid.uuid4().hex[:12]
+            config = {"maintain": maintain,
+                      "maintainer_capacity": maintainer_capacity,
+                      "maintain_reduced": maintain_reduced}
+            if maintainer_budget_bytes is not BUDGET_FROM_ENV:
+                config["maintainer_budget_bytes"] = maintainer_budget_bytes
+
+            def make_shard(index: int, spill: Optional[str]):
+                address = self.shard_addrs[index % len(self.shard_addrs)]
+                return RemoteShard(
+                    address, shard=f"{self.shard_namespace}/shard{index}",
+                    config=(config if spill is None
+                            else {**config, "maintainer_spill_dir": spill}),
                 )
-            self.plan_cache = None  # per-worker caches; see stats()
-            for index in range(self.shards):
-                config = {
-                    "cache_dir": cache_dir,
-                    "maintain": maintain,
-                    "maintainer_capacity": maintainer_capacity,
-                    "maintainer_spill_dir": self._shard_spill_dir(
-                        maintainer_spill_dir, index
-                    ),
-                    "maintain_reduced": maintain_reduced,
-                    "label": f"shard{index}",
-                }
-                if maintainer_budget_bytes is not BUDGET_FROM_ENV:
-                    config["maintainer_budget_bytes"] = \
-                        maintainer_budget_bytes
-                self._handles.append(_ProcessHandle(config))
         else:
             if plan_cache is None:
                 plan_cache = (PersistentPlanCache(cache_dir) if cache_dir
                               else PlanCache())
             self.plan_cache = plan_cache
-            handle_type = (_ThreadHandle if shard_mode == "thread"
-                           else _InlineHandle)
-            for index in range(self.shards):
-                core = SessionShard(
+            self.shard_namespace = None
+
+            def make_shard(index: int, spill: Optional[str]):
+                return SessionShard(
                     plan_cache=plan_cache,
                     cache_dir=cache_dir,
                     maintain=maintain,
                     maintainer_capacity=maintainer_capacity,
                     maintainer_budget_bytes=maintainer_budget_bytes,
-                    maintainer_spill_dir=self._shard_spill_dir(
-                        maintainer_spill_dir, index
-                    ),
+                    maintainer_spill_dir=spill,
                     maintain_reduced=maintain_reduced,
                     label=f"shard{index}",
                 )
-                self._handles.append(handle_type(core))
-        for name, database in (databases or {}).items():
-            self.submit(AttachDatabase(name, database)).result()
+        try:
+            for index in range(self.shards):
+                spill = self._shard_spill_dir(maintainer_spill_dir, index)
+                self._handles.append(ShardWorker(make_shard(index, spill)))
+            for name, database in (databases or {}).items():
+                self.submit(AttachDatabase(name, database)).result()
+        except BaseException:
+            # A failed attach (e.g. an unreachable server) must not leak
+            # the shards already created — remote ones would otherwise
+            # stay on their servers with their databases.
+            self.close()
+            raise
 
     @staticmethod
     def _shard_spill_dir(directory: Optional[str],
@@ -475,8 +354,11 @@ class MultiWriterSession:
         acknowledgement dict) — or raising the job's error (e.g. a
         rejected update), which perturbs nothing else.  With
         ``max_pending`` configured, a saturated shard rejects the job
-        with :class:`ShardSaturatedError` *before* it is enqueued.
+        with :class:`ShardSaturatedError` *before* it is enqueued.  A
+        closed session refuses every job with :class:`ReproError`.
         """
+        if self._closed:
+            raise ReproError("session is closed")
         shard = self._router.shard_for_job(job)
         now = time.monotonic()
         with self._admission_lock:
@@ -506,8 +388,8 @@ class MultiWriterSession:
         try:
             future = self._handles[shard].submit(job)
         except BaseException:
-            # Enqueue itself failed (e.g. a broken process pool): the
-            # settle callback will never run, so release the slot here.
+            # Enqueue itself failed (e.g. a session closed concurrently):
+            # the settle callback will never run, so release the slot.
             with self._admission_lock:
                 self._pending[shard] -= 1
             raise
@@ -578,13 +460,13 @@ class MultiWriterSession:
 
         Shard snapshots include each shard's maintainer pool (resident
         bytes, spill/restore counters) and its plan cache view —
-        shared across shards in inline/thread modes, per-process in
-        process mode.  The probes are submitted to every shard first
-        and gathered after, so a stats call under load waits for the
-        slowest shard's backlog, not the sum of all of them.
+        shared across thread shards, per server for tcp shards.  The
+        probes are submitted to every shard first and gathered after,
+        so a stats call under load waits for the slowest shard's
+        backlog, not the sum of all of them.
 
-        A shard whose worker has died (e.g. a killed process-mode
-        worker) contributes a ``{"dead": True, ...}`` stub with zeroed
+        A shard whose worker has died (e.g. a killed shard server)
+        contributes a ``{"dead": True, ...}`` stub with zeroed
         counters instead of poisoning the whole snapshot; the session
         totals also carry ``close_errors`` — shard-teardown failures
         that would otherwise vanish into the handles' shutdown paths.
@@ -593,8 +475,8 @@ class MultiWriterSession:
             try:
                 return handle.submit_stats()
             except Exception as error:
-                # A broken pool rejects at submission time; carry the
-                # failure in a future so the loop below stubs it out.
+                # A shut-down worker rejects at submission time; carry
+                # the failure in a future so the loop below stubs it out.
                 failed: Future = Future()
                 failed.set_exception(error)
                 return failed
@@ -639,11 +521,8 @@ class MultiWriterSession:
             "shard_mode": self.shard_mode,
             "databases": databases,
             "cache_dir": self.cache_dir,
-            "plan_cache_scope": (
-                "per-shard-process" if self.shard_mode == "process"
-                else "remote" if self.shard_mode == "tcp"
-                else "shared"
-            ),
+            "plan_cache_scope": ("remote" if self.shard_mode == "tcp"
+                                 else "shared"),
             "shard_addrs": self.shard_addrs,
             **totals,
             "max_pending": self.max_pending,

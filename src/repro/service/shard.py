@@ -8,7 +8,7 @@ maintainability memo.  It executes one session job at a time —
 :class:`~repro.service.session.CountRequest`,
 :class:`~repro.service.session.UpdateRequest`, or
 :class:`~repro.service.session.AttachDatabase` — synchronously in
-whatever thread (or process) its owner confines it to.
+whatever thread its owner confines it to.
 
 Each shard owns its :class:`~repro.service.CountingService` engine
 fallback, and two front ends are built from it:
@@ -17,9 +17,10 @@ fallback, and two front ends are built from it:
   session *is* a shard, plus stream batching through its service's
   worker pool;
 * :class:`~repro.service.router.MultiWriterSession` — the sharded
-  front end hash-partitions databases onto N shards, each driven by its
-  own single-worker executor, so writer streams to distinct databases
-  execute in parallel while same-database ordering is preserved.
+  front end hash-partitions databases onto N shards, each confined to
+  its own :class:`~repro.service.router.ShardWorker` (locally, or on a
+  shard server), so writer streams to distinct databases execute in
+  parallel while same-database ordering is preserved.
 
 A shard is **not** thread-safe; its owner must serialize calls (both
 front ends do — that serialization *is* the per-database ordering
@@ -63,9 +64,8 @@ class SessionShard:
         Sharded front ends keep the inline default (parallelism comes
         from the shards, not nested pools); the single-writer
         :class:`~repro.service.session.CountingSession` batches its
-        stream through a pool.  Thread-mode shards share one plan cache;
-        process-mode shards each own theirs, warm-started through
-        *cache_dir*.
+        stream through a pool.  Thread shards share one plan cache; a
+        shard on a shard server uses its server's.
     maintain, maintainer_capacity, maintainer_budget_bytes,
     maintainer_spill_dir:
         The maintained-path knobs: the pool's entry-count bound, its
@@ -96,10 +96,6 @@ class SessionShard:
         self._service = CountingService(workers=workers, mode=mode,
                                         plan_cache=plan_cache,
                                         cache_dir=cache_dir)
-        if plan_cache is None and label is not None:
-            # A private cache (process-mode shards): make its stats
-            # attributable in aggregated per-shard snapshots.
-            self._service.plan_cache.label = label
         self.plan_cache = self._service.plan_cache
         self.maintain = maintain
         self.label = label

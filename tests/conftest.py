@@ -22,6 +22,23 @@ def repro_env_sandbox():
 
 
 @pytest.fixture
+def shard_fabric(request):
+    """``MultiWriterSession`` keyword arguments for one shard flavour.
+
+    Parametrize indirectly with ``"thread"`` or ``"tcp"``; ``tcp``
+    starts two in-process shard servers for the test's duration.
+    """
+    if request.param == "thread":
+        yield {"shard_mode": "thread"}
+        return
+    from repro.service.net import ShardServer
+
+    with ShardServer(shards=1) as first, ShardServer(shards=1) as second:
+        yield {"shard_mode": "tcp",
+               "shard_addrs": [first.address, second.address]}
+
+
+@pytest.fixture
 def path_query() -> ConjunctiveQuery:
     """ans(A, C) :- r(A, B), s(B, C) — the simplest projected query."""
     return parse_query("ans(A, C) :- r(A, B), s(B, C)")

@@ -359,16 +359,16 @@ class TestShardedBackendParity:
             (results,) = session.run_streams(self.streams())
         return [r.count for r in results if hasattr(r, "count")]
 
-    @pytest.mark.parametrize("shard_mode", ["inline", "thread", "process"])
-    def test_columnar_equals_tuple_in_every_worker_flavor(self, shard_mode,
+    @pytest.mark.parametrize("shard_fabric", ["thread", "tcp"],
+                             indirect=True)
+    def test_columnar_equals_tuple_in_every_worker_flavor(self, shard_fabric,
                                                           monkeypatch):
-        # The env var (not the module override) is what travels into
-        # forked process-mode shard workers; process mode also pickles
-        # every columnar database across the pool boundary.
+        # The env var (not the module override) is what the shard
+        # servers read when they rebuild attached databases.
         monkeypatch.setenv("REPRO_BACKEND", "columnar")
-        columnar_counts = self.replay(shard_mode)
+        columnar_counts = self.replay(**shard_fabric)
         monkeypatch.setenv("REPRO_BACKEND", "tuple")
-        tuple_counts = self.replay(shard_mode)
+        tuple_counts = self.replay(**shard_fabric)
         assert columnar_counts == tuple_counts
         assert len(columnar_counts) == 12
 

@@ -301,7 +301,7 @@ class TestStats:
         stream = [AttachDatabase("alpha", triangle_database()),
                   CountRequest(TRIANGLE, "alpha", label="t0"),
                   CountRequest(TRIANGLE, "alpha", label="t1")]
-        with MultiWriterSession(shards=2, shard_mode="inline",
+        with MultiWriterSession(shards=2, shard_mode="thread",
                                 maintain=False,
                                 plan_cache=PlanCache()) as session:
             session.run_streams([stream])

@@ -9,15 +9,15 @@ absent rows — are replayed through three independent counting paths:
 3. from-scratch ``count_answers`` over the chain of immutable databases,
 
 and all three must agree **at every step** — in inline, thread, and
-process execution modes, with maintenance both enabled and disabled.
+process engine-pool modes, with maintenance both enabled and disabled.
 
 The networked leg (PR 8) widens the harness across the socket fabric:
 the same streams through a ``shard_mode='tcp'``
 :class:`~repro.service.MultiWriterSession` against in-process
 :class:`~repro.service.net.ShardServer`\\ s must agree bit-for-bit with
-every in-process mode — including with a fault-injection proxy
-dropping, duplicating, corrupting, and delaying frames (exactly-once
-under retries), and across a mid-stream server kill recovered by
+thread shards and single-writer replay — including with a
+fault-injection proxy dropping, duplicating, corrupting, and delaying
+frames (exactly-once under retries), and across a mid-stream server kill recovered by
 :class:`~repro.service.net.ShardDirectory` failover plus a graceful
 handoff, with no job lost or doubled.
 
@@ -33,8 +33,8 @@ and *cyclic* bounded-#htw shapes — the class
 :class:`~repro.dynamic.ReducedMaintainer` serves through the Theorem 3.7
 reduction: a bare reduced maintainer, the session's maintained path, a
 from-scratch ``count_answers``, and brute force must agree at every step
-of random update streams, in every shard mode and under a spill-forcing
-maintainer budget.
+of random update streams, in both shard flavours and under a
+spill-forcing maintainer budget.
 """
 
 from __future__ import annotations
@@ -272,15 +272,15 @@ class TestCrossShardCommutation:
                 observed[origin].append(result.count)
         assert observed == expected
 
-    @pytest.mark.parametrize("shard_mode", ["thread", "process"])
-    def test_concurrent_producers_commute(self, shard_mode):
+    @pytest.mark.parametrize("shard_fabric", ["thread", "tcp"],
+                             indirect=True)
+    def test_concurrent_producers_commute(self, shard_fabric):
         """The same property under genuinely concurrent producer
         threads (one per writer stream) — the nondeterministic global
         interleave must still replay per-database sequentially."""
         streams = self._streams(seed=99)
         expected = sequential_replay(streams)
-        with MultiWriterSession(shards=2,
-                                shard_mode=shard_mode) as session:
+        with MultiWriterSession(shards=2, **shard_fabric) as session:
             outcomes = session.run_streams(streams)
         observed = [[r.count for r in outcome if hasattr(r, "count")]
                     for outcome in outcomes]
@@ -308,8 +308,9 @@ class TestCrossShardCommutation:
 # ----------------------------------------------------------------------
 class TestDifferentialTCPLeg:
     """A 2-shard TCP session must be indistinguishable — result for
-    result, step for step — from the in-process modes, with and without
-    injected faults, and across server death."""
+    result, step for step — from thread shards and single-writer
+    replay, with and without injected faults, and across server
+    death."""
 
     def _streams(self, seed):
         return multi_writer_streams(
@@ -341,24 +342,27 @@ class TestDifferentialTCPLeg:
                 return [getattr(result, "count", None)
                         for result in session.run_stream(interleaved)]
 
+        with CountingSession() as single:
+            oracle = [getattr(result, "count", None)
+                      for result in single.run_stream(interleaved)]
         with ShardServer(shards=1) as a, ShardServer(shards=1) as b:
             tcp = run("tcp", shard_addrs=[a.address, b.address])
-        assert tcp == run("inline") == run("thread") == run("process")
+        assert tcp == run("thread") == oracle
 
     def test_tcp_replay_is_bit_identical_under_chaos(self, repro_env_sandbox):
         """Frames dropped, duplicated, corrupted, and delayed between
         the session and both servers: retries + server-side dedup must
-        keep every replay step's answer identical to the inline oracle
-        (exactly-once — a double-applied insert would change counts)."""
+        keep every replay step's answer identical to single-writer
+        replay (exactly-once — a double-applied insert would change
+        counts)."""
         import os
         os.environ["REPRO_NET_TIMEOUT_MS"] = "500"
         os.environ["REPRO_NET_RETRIES"] = "10"
         streams = self._streams(seed=5)
         interleaved, _ = random_interleaving(streams, random.Random(7))
-        with MultiWriterSession(shards=2,
-                                shard_mode="inline") as oracle_session:
+        with CountingSession() as single:
             oracle = [getattr(result, "count", None) for result
-                      in oracle_session.run_stream(interleaved)]
+                      in single.run_stream(interleaved)]
         plan = FaultPlan(drop_every=13, duplicate_every=11,
                         corrupt_every=17, delay_every=19, delay_ms=5.0)
         with ShardServer(shards=1) as a, ShardServer(shards=1) as b:
@@ -531,25 +535,27 @@ class TestDifferentialReducedMaintenance:
                 expected.append(count_brute_force(query, current))
         return database, jobs, expected
 
-    @pytest.mark.parametrize("shard_mode", ["inline", "thread", "process"])
-    def test_sharded_reduced_stream_matches_brute_force(self, shard_mode):
-        """The maintained reduced path through every shard mode."""
+    @pytest.mark.parametrize("shard_fabric", ["thread", "tcp"],
+                             indirect=True)
+    def test_sharded_reduced_stream_matches_brute_force(self, shard_fabric):
+        """The maintained reduced path through both shard flavours."""
         database, jobs, expected = self._reduced_stream_jobs(seed=13)
         with MultiWriterSession(databases={"main": database}, shards=2,
-                                shard_mode=shard_mode) as session:
+                                **shard_fabric) as session:
             results = session.run_stream(jobs)
             stats = session.stats()
         counts = [r.count for r in results if hasattr(r, "count")]
         assert counts == expected
         assert stats["reduced_counts"] > 0
 
-    @pytest.mark.parametrize("shard_mode", ["inline", "thread", "process"])
-    def test_sharded_reduced_stream_spill_forced(self, shard_mode):
+    @pytest.mark.parametrize("shard_fabric", ["thread", "tcp"],
+                             indirect=True)
+    def test_sharded_reduced_stream_spill_forced(self, shard_fabric):
         """Same property with a one-byte per-shard maintainer budget."""
         database, jobs, expected = self._reduced_stream_jobs(seed=29,
                                                              steps=8)
         with MultiWriterSession(databases={"main": database}, shards=2,
-                                shard_mode=shard_mode,
+                                **shard_fabric,
                                 maintainer_budget_bytes=1) as session:
             results = session.run_stream(jobs)
             stats = session.stats()
@@ -648,8 +654,8 @@ class TestDifferentialApproxLeg:
     random update stream, the approx tier's ``(estimate, epsilon,
     delta)`` answer is checked against the exact recount — the exact
     count must lie within the stated epsilon (deterministic seeds make
-    this a fixed outcome, not a flaky statistical one) — and all shard
-    modes must produce bit-identical estimates."""
+    this a fixed outcome, not a flaky statistical one) — and sharded
+    and single-writer replay must produce bit-identical estimates."""
 
     def _approx_stream(self, seed: int, steps: int = 8):
         rng = random.Random(seed)
@@ -668,11 +674,12 @@ class TestDifferentialApproxLeg:
                 expected.append(count_answers(query, current).count)
         return database, jobs, expected
 
-    @pytest.mark.parametrize("shard_mode", ["inline", "thread", "process"])
-    def test_approx_within_stated_epsilon_every_step(self, shard_mode):
+    @pytest.mark.parametrize("shard_fabric", ["thread", "tcp"],
+                             indirect=True)
+    def test_approx_within_stated_epsilon_every_step(self, shard_fabric):
         database, jobs, expected = self._approx_stream(seed=17)
         with MultiWriterSession(databases={"main": database}, shards=2,
-                                shard_mode=shard_mode,
+                                **shard_fabric,
                                 maintain=False) as session:
             results = session.run_stream(jobs)
         counted = [r for r in results if hasattr(r, "count")]
@@ -687,21 +694,23 @@ class TestDifferentialApproxLeg:
             )
 
     def test_shard_modes_agree_bit_for_bit(self):
-        """Deterministic seeds: inline, thread, and process shards give
-        identical estimates for identical streams."""
-        outcomes = {}
-        for shard_mode in ("inline", "thread", "process"):
-            database, jobs, _ = self._approx_stream(seed=23, steps=5)
-            with MultiWriterSession(databases={"main": database}, shards=2,
-                                    shard_mode=shard_mode,
-                                    maintain=False) as session:
-                results = session.run_stream(jobs)
-            outcomes[shard_mode] = [
-                (r.count, r.details["estimate"], r.details["samples"])
-                for r in results if hasattr(r, "count")
-            ]
-        assert outcomes["inline"] == outcomes["thread"] == \
-            outcomes["process"]
+        """Deterministic seeds: thread shards and a single-writer replay
+        give identical estimates for identical streams."""
+        def estimates(results):
+            return [(r.count, r.details["estimate"], r.details["samples"])
+                    for r in results if hasattr(r, "count")]
+
+        database, jobs, _ = self._approx_stream(seed=23, steps=5)
+        with MultiWriterSession(databases={"main": database}, shards=2,
+                                shard_mode="thread",
+                                maintain=False) as session:
+            sharded = estimates(session.run_stream(jobs))
+        database, jobs, _ = self._approx_stream(seed=23, steps=5)
+        with CountingSession(databases={"main": database},
+                             maintain=False) as single:
+            replayed = estimates(single.run_stream(jobs))
+        assert len(sharded) == 5 * len(REDUCED_SHAPES)
+        assert sharded == replayed
 
     def test_deadline_degrades_heavy_not_cheap(self):
         """A replayed stream mixing a heavy shape (deadline-degraded to
@@ -713,7 +722,7 @@ class TestDifferentialApproxLeg:
         cheap_q = parse_query("ans(A, B) :- r(A, B)")
         current = heavy
         with MultiWriterSession(databases={"h": heavy}, shards=1,
-                                shard_mode="inline",
+                                shard_mode="thread",
                                 maintain=False) as session:
             for step in range(4):
                 update = Insert("r", (1000 + step, step))

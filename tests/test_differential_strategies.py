@@ -125,8 +125,8 @@ def test_compiled_agrees_with_interpreted_and_brute(seed, query, database):
     assert interpreted.count == expected, f"seed {seed}"
 
 
-@pytest.mark.parametrize("shard_mode", ["inline", "thread", "process"])
-def test_sharded_sessions_agree_compiled_and_uncompiled(shard_mode,
+@pytest.mark.parametrize("shard_fabric", ["thread", "tcp"], indirect=True)
+def test_sharded_sessions_agree_compiled_and_uncompiled(shard_fabric,
                                                         monkeypatch):
     """The full sharded path — routing, maintenance, engine fallback —
     returns identical counts with the compiled tier on and off."""
@@ -143,14 +143,12 @@ def test_sharded_sessions_agree_compiled_and_uncompiled(shard_mode,
         return [jobs]
 
     def replay():
-        with MultiWriterSession(shards=2, shard_mode=shard_mode) as session:
+        with MultiWriterSession(shards=2, **shard_fabric) as session:
             (results,) = session.run_streams(streams())
         return [r.count for r in results if hasattr(r, "count")]
 
     monkeypatch.setenv(COMPILED_ENV, "1")
     counts_on = replay()
-    # The env var (not the module override) travels into forked
-    # process-mode shard workers.
     monkeypatch.setenv(COMPILED_ENV, "0")
     counts_off = replay()
     assert counts_on == counts_off

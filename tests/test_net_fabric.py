@@ -34,9 +34,12 @@ from repro.exceptions import ReproError
 from repro.query import parse_query
 from repro.service import (
     AttachDatabase,
+    CountingSession,
     CountRequest,
     MultiWriterSession,
+    SessionRouter,
     ShardSaturatedError,
+    ShardWorker,
     UpdateRequest,
 )
 from repro.service.net import (
@@ -48,7 +51,7 @@ from repro.service.net import (
     FrameError,
     PlanCacheKVServer,
     RemotePlanCache,
-    RemoteShardHandle,
+    RemoteShard,
     ShardClient,
     ShardDirectory,
     ShardServer,
@@ -199,6 +202,16 @@ def test_job_wire_roundtrip():
     assert attach.database.total_tuples() == small_db().total_tuples()
     count = job_from_wire(job_to_wire(jobs[1]))
     assert count.query == PATH and count.deadline_ms == 50.0
+
+
+def test_renamed_query_crosses_the_wire():
+    """A randomly renamed copy keeps a parseable name, so it survives
+    the text rendering of the wire (and of job files)."""
+    from repro.query.canonical import random_renaming
+
+    renamed = random_renaming(PATH, seed=3)
+    count = job_from_wire(job_to_wire(CountRequest(renamed, "db")))
+    assert count.query == renamed
 
 
 def test_result_wire_roundtrip_for_counts_and_acks():
@@ -465,7 +478,8 @@ class TestClientRetries:
 
     def test_remote_handle_implements_the_session_contract(self):
         with ShardServer(shards=1) as server:
-            handle = RemoteShardHandle(server.address, shard="h/shard0")
+            handle = ShardWorker(RemoteShard(server.address,
+                                             shard="h/shard0"))
             ack = handle.submit(AttachDatabase("db", small_db())).result()
             assert ack["attached"]
             assert handle.submit(CountRequest(PATH, "db")).result().count == 4
@@ -480,13 +494,41 @@ class TestClientRetries:
 
     def test_remote_handle_counts_close_against_dead_server(self):
         server = ShardServer(shards=1)
-        handle = RemoteShardHandle(server.address, shard="z/shard0",
-                                   timeout_ms=100, retries=0)
+        handle = ShardWorker(RemoteShard(server.address, shard="z/shard0",
+                                         timeout_ms=100, retries=0))
         handle.submit(AttachDatabase("db", small_db())).result()
         server.kill()
         handle.close()
         assert handle.close_errors == 1
         assert handle.last_close_error
+
+    def test_failed_constructor_releases_created_remote_shards(
+            self, repro_env_sandbox):
+        """An attach that fails on one (dead) server must not strand
+        the shards the constructor already created on a live one."""
+        os.environ["REPRO_NET_TIMEOUT_MS"] = "200"
+        os.environ["REPRO_NET_RETRIES"] = "0"
+        live = ShardServer(shards=1)
+        dead = ShardServer(shards=1)
+        dead_address = dead.address
+        dead.kill()
+        # Shard i lives on address i % 2: shard0 on the live server.
+        # Attach a shard0 database first, so the live shard really
+        # exists when the shard1 attach fails.
+        names = [f"db{index}" for index in range(32)]
+        router = SessionRouter(2)
+        on_live = next(n for n in names if router.shard_of(n) == 0)
+        on_dead = next(n for n in names if router.shard_of(n) == 1)
+        fleet_shards = live.shard_names()
+        try:
+            with pytest.raises(TransportError):
+                MultiWriterSession({on_live: small_db(),
+                                    on_dead: small_db()},
+                                   shard_addrs=[live.address, dead_address])
+            # No "<namespace>/shard0" left behind, only the fleet's own.
+            assert live.shard_names() == fleet_shards
+        finally:
+            live.close()
 
 
 # ----------------------------------------------------------------------
@@ -577,13 +619,9 @@ class TestShardDirectory:
         return jobs
 
     def expected(self, rounds: int = 4) -> list:
-        session = MultiWriterSession(shard_mode="inline", shards=1,
-                                     maintain=False)
-        try:
+        with CountingSession(maintain=False) as session:
             return [getattr(result, "count", None)
                     for result in session.run_stream(self.stream(rounds))]
-        finally:
-            session.close()
 
     def test_graceful_handoff_loses_and_doubles_nothing(self):
         with ShardServer(shards=1) as source, ShardServer(shards=1) as target:

@@ -128,7 +128,7 @@ class TestShardDeathAccounting:
         def failing_close():
             raise boom
 
-        session._handles[0]._core.close = failing_close
+        session._handles[0].target.close = failing_close
         stats_before = session.stats()
         assert stats_before["close_errors"] == 0
         session.close()
@@ -136,40 +136,42 @@ class TestShardDeathAccounting:
         assert handle.close_errors == 1
         assert "shard core died" in handle.last_close_error
 
-    def test_inline_close_error_counted(self):
-        session = MultiWriterSession({"d": DB}, shards=1,
-                                     shard_mode="inline", maintain=False)
-        session._handles[0]._core.close = lambda: (_ for _ in ()).throw(
-            RuntimeError("inline death")
-        )
-        session.close()
-        assert session._handles[0].close_errors == 1
-
-    def test_dead_process_shard_stubs_stats(self):
+    def test_dead_tcp_shard_stubs_stats(self, repro_env_sandbox):
         import os
-        import signal
 
-        session = MultiWriterSession({"d": DB}, shards=2,
-                                     shard_mode="process", maintain=False)
-        try:
-            target = session.shard_of("d")
-            session.submit(CountRequest(QUERY, "d")).result()
-            pool = session._handles[target]._pool
-            for pid in list(pool._processes):
-                os.kill(pid, signal.SIGKILL)
-            time.sleep(0.2)
-            stats = session.stats()
-            dead = [s for s in stats["per_shard"] if s.get("dead")]
-            assert len(dead) == 1
-            stub = dead[0]
-            assert stub["databases"] == []
-            assert stub["maintainers"]["resident_bytes"] == 0
-            # Totals still aggregate (zeros from the stub).
-            assert stats["engine_counts"] >= 0
-        finally:
-            session.close()
-        assert session._handles[target].close_errors == 1
-        assert session._handles[target].last_close_error
+        from repro.service.net import ShardServer
+
+        os.environ["REPRO_NET_TIMEOUT_MS"] = "200"
+        os.environ["REPRO_NET_RETRIES"] = "0"
+        with ShardServer(shards=1) as survivor:
+            doomed = ShardServer(shards=1)
+            # Shard i lives on address i % 2: shard1 on the doomed one.
+            session = MultiWriterSession(
+                {"d": DB}, shards=2, maintain=False,
+                shard_addrs=[survivor.address, doomed.address],
+            )
+            try:
+                session.submit(CountRequest(QUERY, "d")).result()
+                # Both remote shards exist before the server dies.
+                assert not any(shard.get("dead") for shard
+                               in session.stats()["per_shard"])
+                doomed.kill()
+                stats = session.stats()
+                dead = [s for s in stats["per_shard"] if s.get("dead")]
+                assert len(dead) == 1
+                stub = dead[0]
+                assert stub["shard"] == "shard1"
+                assert stub["databases"] == []
+                assert stub["engine_counts"] == 0
+                assert stub["maintainers"]["resident_bytes"] == 0
+                # Totals still aggregate (zeros from the stub).
+                assert stats["engine_counts"] >= 0
+            finally:
+                session.close()
+            assert stats["close_errors"] == 0
+            assert session.stats()["close_errors"] == 1
+            assert session._handles[1].close_errors == 1
+            assert session._handles[1].last_close_error
 
 
 class TestDeadlineUnderLoad:

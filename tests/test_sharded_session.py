@@ -1,9 +1,8 @@
 """The sharded multi-writer front end and maintainer spilling (ISSUE 4).
 
 Covers the :class:`~repro.service.SessionRouter`'s stable partitioning,
-:class:`~repro.service.MultiWriterSession` in all three shard-worker
-flavors (inline / thread / process) against single-writer sequential
-replay, thread-safe multi-producer submission, the maintainer pool's
+:class:`~repro.service.MultiWriterSession` in both shard flavours
+(thread / tcp) against single-writer sequential replay, thread-safe multi-producer submission, the maintainer pool's
 byte budget with checkpoint spill + delta-journal restore (including
 corrupted checkpoints), deterministic LRU eviction, and the sharded
 session CLI.
@@ -112,21 +111,23 @@ def interleaved_jobs(n_databases: int = 4):
 
 
 class TestMultiWriterSession:
-    @pytest.mark.parametrize("shard_mode", ["inline", "thread", "process"])
-    def test_stream_matches_single_writer_replay(self, shard_mode):
+    @pytest.mark.parametrize("shard_fabric", ["thread", "tcp"],
+                             indirect=True)
+    def test_stream_matches_single_writer_replay(self, shard_fabric):
         databases, jobs = interleaved_jobs()
         with CountingSession(databases=dict(databases)) as single:
             expected = result_counts(single.run_stream(jobs))
         with MultiWriterSession(databases=dict(databases), shards=2,
-                                shard_mode=shard_mode) as sharded:
+                                **shard_fabric) as sharded:
             results = sharded.run_stream(jobs)
             stats = sharded.stats()
         assert result_counts(results) == expected
         assert stats["shards"] == 2
         assert stats["maintained_counts"] + stats["engine_counts"] == 8
         assert sorted(stats["databases"]) == sorted(databases)
-        assert [shard["shard"] for shard in stats["per_shard"]] == \
-            ["shard0", "shard1"]
+        # TCP shards carry their session namespace: "<ns>/shard0".
+        assert [shard["shard"].rsplit("/", 1)[-1]
+                for shard in stats["per_shard"]] == ["shard0", "shard1"]
 
     def test_submit_returns_per_job_futures(self):
         with MultiWriterSession(shards=2, shard_mode="thread") as session:
@@ -201,13 +202,12 @@ class TestMultiWriterSession:
             with pytest.raises(ReproError):
                 session.run_streams([good, bad])
 
-    def test_inline_mode_serializes_concurrent_producers(self):
-        """shard_mode='inline' keeps the thread-safe submit contract:
-        concurrent producers hammering one shard's database stay
-        consistent (the handle lock serializes them)."""
+    def test_concurrent_producers_serialize_on_one_shard(self):
+        """Concurrent producers hammering one shard's database stay
+        consistent (the shard's worker queue serializes them)."""
         database = Database.from_dict({"r": [(0, 2)], "s": [(2, 0)]})
         with MultiWriterSession(databases={"main": database}, shards=2,
-                                shard_mode="inline") as session:
+                                shard_mode="thread") as session:
             streams = [
                 [UpdateRequest("main",
                                Insert("r", (1000 * (writer + 1) + step, 2)))
@@ -219,16 +219,17 @@ class TestMultiWriterSession:
         # 1 seed row + 4x20 inserted rows, each joining s(2, 0).
         assert final.count == 81
 
-    def test_process_mode_rejects_shared_plan_cache(self):
+    def test_tcp_mode_rejects_shared_plan_cache(self):
         from repro.counting.plan_cache import PlanCache
 
-        with pytest.raises(ValueError):
-            MultiWriterSession(shards=2, shard_mode="process",
+        with pytest.raises(ValueError, match="plan_cache"):
+            MultiWriterSession(shards=2, shard_mode="tcp",
+                               shard_addrs=["127.0.0.1:9"],
                                plan_cache=PlanCache())
 
     def test_env_default_shard_count(self, monkeypatch):
         monkeypatch.setenv("REPRO_SESSION_SHARDS", "3")
-        with MultiWriterSession(shard_mode="inline") as session:
+        with MultiWriterSession(shard_mode="thread") as session:
             assert session.shards == 3
 
     def test_unknown_shard_mode_rejected(self):
@@ -246,16 +247,40 @@ class TestMultiWriterSession:
         # One shared object: every shard reports identical counters.
         assert all(cache == caches[0] for cache in caches)
 
-    def test_process_shards_label_their_plan_caches(self):
-        databases, jobs = interleaved_jobs(2)
-        with MultiWriterSession(databases=databases, shards=2,
-                                shard_mode="process") as session:
-            session.run_stream(jobs)
-            stats = session.stats()
-        assert stats["plan_cache_scope"] == "per-shard-process"
-        labels = [shard["plan_cache"].get("label")
-                  for shard in stats["per_shard"]]
-        assert labels == ["shard0", "shard1"]
+    def test_shard_mode_follows_from_the_addresses(self, repro_env_sandbox):
+        from repro.service.net import SHARD_ADDRS_ENV, ShardServer
+
+        os.environ.pop(SHARD_ADDRS_ENV, None)
+        with MultiWriterSession(shards=1) as session:
+            assert session.shard_mode == "thread"
+        with ShardServer(shards=1) as server:
+            with MultiWriterSession(shard_addrs=[server.address]) as session:
+                assert session.shard_mode == "tcp"
+            os.environ[SHARD_ADDRS_ENV] = server.address
+            with MultiWriterSession(shards=1) as session:
+                assert session.shard_mode == "tcp"
+                assert session.shard_addrs == [server.address]
+            # An explicit flavour wins over the environment...
+            with MultiWriterSession(shards=1,
+                                    shard_mode="thread") as session:
+                assert session.shard_mode == "thread"
+        # ...but contradicting explicit arguments are refused.
+        with pytest.raises(ValueError, match="shard_addrs"):
+            MultiWriterSession(shard_mode="thread",
+                               shard_addrs=["127.0.0.1:9"])
+
+    @pytest.mark.parametrize("shard_fabric", ["thread", "tcp"],
+                             indirect=True)
+    def test_closed_session_refuses_work(self, shard_fabric):
+        session = MultiWriterSession({"main": path_database()}, shards=2,
+                                     **shard_fabric)
+        session.close()
+        with pytest.raises(ReproError, match="session is closed"):
+            session.submit(CountRequest(PATH, "main"))
+        with pytest.raises(ReproError, match="session is closed"):
+            session.run_stream([CountRequest(PATH, "main")])
+        # Refused before admission: no slot was taken or leaked.
+        assert session.stats()["pending"] == [0, 0]
 
 
 # ----------------------------------------------------------------------
@@ -523,7 +548,6 @@ class TestShardedSessionCLI:
         path = str(tmp_path / "jobs.jsonl")
         write_session_stream(path, n_shapes=2, rounds=1, seed=3,
                              tuples_per_relation=8)
-        code = cli_main(["session", path, "--shards", "2",
-                         "--shard-mode", "inline"])
+        code = cli_main(["session", path, "--shards", "2"])
         assert code == 0
         assert "shards    : 2" in capsys.readouterr().out
