@@ -1,4 +1,4 @@
-"""Batch service benchmark: sequential-vs-pooled and cold-vs-warm cache.
+"""Batch service benchmark: cold sequential calls vs cold and warm batches.
 
 The acceptance workload of the batch service: **20 jobs sharing 4 query
 shapes** (each job a distinct bijective renaming of its shape's query,
@@ -15,9 +15,7 @@ all jobs of a shape over one shared database).  Three measurements:
 The headline claim asserted here and recorded into
 ``BENCH_kernel.json`` by ``run_all.py``: ``warm_batch`` beats
 ``cold_sequential`` by **at least 2x** (in practice far more — the
-decomposition search dominates these instances).  Worker-pool timings
-(thread and process, 2 workers) ride along for the
-sequential-vs-pooled trajectory.
+decomposition search dominates these instances).
 
 Standalone usage (CI artifact)::
 
@@ -81,17 +79,10 @@ def snapshot() -> dict:
     jobs = _workload()
     cold_seq, expected = cold_sequential_seconds(jobs)
 
-    service = CountingService(workers=0, plan_cache=PlanCache())
+    service = CountingService(plan_cache=PlanCache())
     cold_batch, batch_counts = batch_seconds(service, jobs)
     warm_batch, warm_counts = batch_seconds(service, jobs)
     assert batch_counts == expected and warm_counts == expected
-
-    pooled = {}
-    for mode in ("thread", "process"):
-        with CountingService(workers=2, mode=mode) as pooled_service:
-            pooled_cold, pooled_counts = batch_seconds(pooled_service, jobs)
-        assert pooled_counts == expected
-        pooled[f"{mode}_pool_cold_seconds"] = round(pooled_cold, 4)
 
     warm_speedup = round(cold_seq / max(warm_batch, 1e-9), 2)
     return {
@@ -104,7 +95,6 @@ def snapshot() -> dict:
         "warm_batch_speedup": warm_speedup,
         "meets_2x_bar": warm_speedup >= 2.0,
         "plan_cache": service.plan_cache.stats(),
-        **pooled,
     }
 
 
@@ -115,7 +105,7 @@ def test_warm_cache_batch_at_least_2x_faster():
     """The ISSUE 2 acceptance bar: warm batch >= 2x over cold sequential."""
     jobs = _workload()
     cold_seq, expected = cold_sequential_seconds(jobs)
-    service = CountingService(workers=0, plan_cache=PlanCache())
+    service = CountingService(plan_cache=PlanCache())
     _, first_counts = batch_seconds(service, jobs)
     warm, warm_counts = batch_seconds(service, jobs)
     assert first_counts == expected and warm_counts == expected
@@ -123,15 +113,6 @@ def test_warm_cache_batch_at_least_2x_faster():
         f"warm batch {warm:.3f}s not 2x faster than cold sequential "
         f"{cold_seq:.3f}s"
     )
-
-
-def test_pooled_batches_agree_with_sequential():
-    jobs = _workload()
-    inline = CountingService(workers=0).run_batch(jobs)
-    for mode in ("thread", "process"):
-        with CountingService(workers=2, mode=mode) as service:
-            pooled = service.run_batch(jobs)
-        assert [r.count for r in pooled] == [r.count for r in inline]
 
 
 if __name__ == "__main__":  # pragma: no cover - CI artifact entry point

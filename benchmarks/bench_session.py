@@ -1,13 +1,13 @@
-"""Streaming-session benchmark: warm-start process pools and maintained counts.
+"""Streaming-session benchmark: warm-started services and maintained counts.
 
 The two acceptance bars of ISSUE 3, asserted here and recorded into
 ``BENCH_kernel.json`` by ``run_all.py``:
 
-* **warm pool >= 1.5x** — the batch acceptance workload (**20 jobs / 4
-  shapes**) served by a *fresh* process pool whose workers warm-start
-  from a populated persistent plan-cache directory must be at least
-  1.5x faster than the same fresh pool starting cold (every worker
-  re-paying the decomposition searches);
+* **warm start >= 1.5x** — the batch acceptance workload (**20 jobs / 4
+  shapes**) served by a *fresh* in-process :class:`CountingService` over
+  a populated persistent plan-cache directory must be at least 1.5x
+  faster than a fresh service starting cold (re-paying every
+  decomposition search);
 * **session >= 3x** — an interleaved update/count stream (one
   single-tuple update followed by ``SESSION_COUNTS_PER_UPDATE`` reads,
   repeated) served by a :class:`~repro.service.CountingSession`'s
@@ -56,7 +56,6 @@ SEED = 20260731
 #: a cold call, which is exactly what the persistent cache amortizes.
 SHAPE_KWARGS = dict(n_variables=8, n_atoms=6, domain_size=6,
                     tuples_per_relation=24)
-POOL_WORKERS = 2
 
 #: Session workload: a maintainable star query — one update repairs one
 #: leaf-to-root path while a recount re-joins every branch from scratch.
@@ -82,26 +81,26 @@ def _workload():
 
 
 # ----------------------------------------------------------------------
-# Part 1: cold vs warm-started process pools
+# Part 1: cold vs warm-started fresh services
 # ----------------------------------------------------------------------
-def pool_seconds(jobs, cache_dir=None) -> tuple:
-    """Wall-clock of one batch through a *fresh* process pool."""
+def service_seconds(jobs, cache_dir=None) -> tuple:
+    """Wall-clock of one batch through a *fresh* in-process service."""
     started = time.perf_counter()
-    with CountingService(workers=POOL_WORKERS, mode="process",
-                         cache_dir=cache_dir) as service:
+    with CountingService(cache_dir=cache_dir) as service:
         results = service.run_batch(jobs)
     return time.perf_counter() - started, [r.count for r in results]
 
 
 def _drop_parent_memos() -> None:
-    """Make forked workers genuinely cold.
+    """Make a fresh service genuinely cold.
 
-    Worker processes are forked from this process, so its in-memory
-    memos must be dropped before each pool measurement — otherwise the
-    "cold" pool would silently inherit the warmup's plans through fork
-    and the comparison would measure nothing.  The default cache is
-    *replaced* (not cleared): clearing a persistent default would wipe a
-    suite-wide spill directory when ``REPRO_PLAN_CACHE_DIR`` is set.
+    The decomposition-search and search-space memos are process-wide:
+    they outlive the warmup service, so they must be dropped before each
+    measurement — otherwise the "cold" service would silently reuse the
+    warmup's searches and the comparison would measure nothing.  The
+    default cache is *replaced* (not cleared): clearing a persistent
+    default would wipe a suite-wide spill directory when
+    ``REPRO_PLAN_CACHE_DIR`` is set.
     """
     from repro.decomposition.sharp import clear_search_memo
     from repro.homomorphism.solver import clear_space_memo
@@ -124,30 +123,30 @@ def _isolated_from_configured_cache():
     return isolated_repro_env(**{PLAN_CACHE_DIR_ENV: None})
 
 
-def measure_pools() -> dict:
+def measure_warm_start() -> dict:
     jobs = _workload()
     cache_dir = tempfile.mkdtemp(prefix="repro-plan-cache-")
     try:
         with _isolated_from_configured_cache():
-            # Populate the spill directory once (inline: plans only).
-            with CountingService(workers=0, cache_dir=cache_dir) as warmup:
+            # Populate the spill directory once.
+            with CountingService(cache_dir=cache_dir) as warmup:
                 expected = [r.count for r in warmup.run_batch(jobs)]
             _drop_parent_memos()
-            cold_seconds, cold_counts = pool_seconds(jobs, cache_dir=None)
+            cold_seconds, cold_counts = service_seconds(jobs)
             _drop_parent_memos()
-            warm_seconds, warm_counts = pool_seconds(jobs,
-                                                    cache_dir=cache_dir)
+            warm_seconds, warm_counts = service_seconds(jobs,
+                                                        cache_dir=cache_dir)
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)
     assert cold_counts == expected and warm_counts == expected
     speedup = round(cold_seconds / max(warm_seconds, 1e-9), 2)
     return {
-        "pool_workload": f"{N_JOBS} jobs / {N_SHAPES} shapes "
-                         f"(batch_jobs seed={SEED}), fresh "
-                         f"{POOL_WORKERS}-worker process pools",
-        "pool_cold_seconds": round(cold_seconds, 4),
-        "pool_warm_seconds": round(warm_seconds, 4),
-        "warm_pool_speedup": speedup,
+        "warm_start_workload": f"{N_JOBS} jobs / {N_SHAPES} shapes "
+                               f"(batch_jobs seed={SEED}), fresh "
+                               f"in-process services",
+        "cold_start_seconds": round(cold_seconds, 4),
+        "warm_start_seconds": round(warm_seconds, 4),
+        "warm_start_speedup": speedup,
         "meets_1_5x_bar": speedup >= 1.5,
     }
 
@@ -224,7 +223,7 @@ def measure_session() -> tuple:
 
 def snapshot() -> dict:
     """The benchmark's JSON snapshot (merged into ``BENCH_kernel.json``)."""
-    result = measure_pools()
+    result = measure_warm_start()
     session_snapshot, session_counts, recompute_counts = measure_session()
     assert session_counts == recompute_counts
     result.update(session_snapshot)
@@ -234,13 +233,13 @@ def snapshot() -> dict:
 # ----------------------------------------------------------------------
 # pytest entry points (run by benchmarks/run_all.py's snapshot section)
 # ----------------------------------------------------------------------
-def test_warm_pool_at_least_1_5x_faster_than_cold():
-    """ISSUE 3 bar: a warm-started fresh process pool >= 1.5x a cold one."""
-    outcome = measure_pools()
+def test_warm_start_at_least_1_5x_faster_than_cold():
+    """A fresh service over a populated plan directory >= 1.5x a cold one."""
+    outcome = measure_warm_start()
     assert outcome["meets_1_5x_bar"], (
-        f"warm pool {outcome['pool_warm_seconds']}s not 1.5x faster than "
-        f"cold pool {outcome['pool_cold_seconds']}s "
-        f"({outcome['warm_pool_speedup']}x)"
+        f"warm start {outcome['warm_start_seconds']}s not 1.5x faster "
+        f"than cold start {outcome['cold_start_seconds']}s "
+        f"({outcome['warm_start_speedup']}x)"
     )
 
 
@@ -273,7 +272,7 @@ if __name__ == "__main__":  # pragma: no cover - CI artifact entry point
     print(json.dumps(result, indent=2))
     failed = []
     if not result["meets_1_5x_bar"]:
-        failed.append("warm pool is not >= 1.5x faster than a cold pool")
+        failed.append("warm start is not >= 1.5x faster than a cold start")
     if not result["meets_3x_bar"]:
         failed.append("session is not >= 3x faster than recompute-per-count")
     for message in failed:

@@ -88,13 +88,13 @@ def _load_bench_module(name: str):
 
 
 def batch_service_snapshot() -> dict:
-    """The batch-service cold/warm/pooled numbers (bench_batch_service)."""
+    """The batch-service cold/warm numbers (bench_batch_service)."""
     return _load_bench_module("bench_batch_service").snapshot()
 
 
 def session_snapshot() -> dict:
     """The streaming-session numbers (bench_session): warm-started
-    process pools and maintained counts vs recompute-per-count."""
+    services and maintained counts vs recompute-per-count."""
     return _load_bench_module("bench_session").snapshot()
 
 
@@ -159,7 +159,7 @@ _HEADLINES = (
     ("kernel_pair_seconds", ("kernel_pair_seconds",)),
     ("engine_auto_seconds", ("micro", "engine_auto_seconds")),
     ("warm_batch_speedup", ("batch_service", "warm_batch_speedup")),
-    ("warm_pool_speedup", ("session", "warm_pool_speedup")),
+    ("warm_start_speedup", ("session", "warm_start_speedup")),
     ("session_speedup", ("session", "session_speedup")),
     ("shard_speedup", ("shards", "shard_speedup")),
     ("reduced_speedup", ("reduced", "reduced_speedup")),
@@ -255,14 +255,14 @@ def main(argv=None) -> int:
             print("[bench]   FAILED (warm batch below the 2x bar)",
                   flush=True)
         snapshot["session"] = session_snapshot()
-        print(f"[bench] session: warm pool "
-              f"{snapshot['session']['warm_pool_speedup']}x vs cold pool; "
+        print(f"[bench] session: warm start "
+              f"{snapshot['session']['warm_start_speedup']}x vs cold start; "
               f"maintained stream "
               f"{snapshot['session']['session_speedup']}x vs recompute",
               flush=True)
         if not snapshot["session"]["meets_1_5x_bar"]:
             failures += 1
-            print("[bench]   FAILED (warm pool below the 1.5x bar)",
+            print("[bench]   FAILED (warm start below the 1.5x bar)",
                   flush=True)
         if not snapshot["session"]["meets_3x_bar"]:
             failures += 1

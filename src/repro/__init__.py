@@ -30,7 +30,7 @@ the full machinery:
 * :mod:`repro.ucq` -- unions of CQs: inclusion-exclusion, subsumption;
 * :mod:`repro.approx` -- uniform answer sampling, Monte Carlo, Karp-Luby;
 * :mod:`repro.dynamic` -- answer counting under updates [BKS17];
-* :mod:`repro.service` -- batched counting over worker pools with a
+* :mod:`repro.service` -- batched and streaming counting over a
   shared, shape-keyed plan cache.
 """
 

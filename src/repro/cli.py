@@ -7,7 +7,7 @@ Count answers to a conjunctive query over a database stored as JSON::
     python -m repro ucq "ans(A) :- r(A,B) ; ans(A) :- s(A,C)" db.json
     python -m repro sample "ans(A,C) :- r(A,B), s(B,C)" db.json -k 5
     python -m repro faq "ans(A,C) :- r(A,B), s(B,C)" db.json
-    python -m repro batch jobs.json --workers 4 --mode process
+    python -m repro batch jobs.json --cache-dir .plans
     python -m repro session jobs.jsonl --cache-dir .plans
     python -m repro session w0.jsonl w1.jsonl --shards 2
     python -m repro shardserver --listen 127.0.0.1:7070 --shards 2
@@ -100,8 +100,8 @@ def _apply_compiled_flag(args: argparse.Namespace) -> None:
 
         from .counting.compile import COMPILED_ENV, set_compiled_enabled
 
-        # The env var travels into process-mode shard/pool workers, which
-        # never see this interpreter's module-level override.
+        # The env var also reaches child processes (a spawned shard
+        # server), which never see this interpreter's module override.
         os.environ[COMPILED_ENV] = "0"
         set_compiled_enabled(False)
 
@@ -114,8 +114,8 @@ def _apply_backend_flag(args: argparse.Namespace) -> None:
 
         from .db.columnar import BACKEND_ENV, set_default_backend
 
-        # Same pattern as --no-compiled: the env var reaches process-
-        # mode pool workers and TCP shard servers spawned from here.
+        # Same pattern as --no-compiled: the env var reaches TCP shard
+        # servers spawned from here.
         os.environ[BACKEND_ENV] = backend
         set_default_backend(backend)
 
@@ -254,8 +254,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     _apply_backend_flag(args)
     jobs = load_jobs(args.jobs)
     _apply_deadline_defaults(jobs, args.deadline_ms, args.error_budget)
-    with CountingService(workers=args.workers, mode=args.mode,
-                         cache_dir=args.cache_dir) as service:
+    with CountingService(cache_dir=args.cache_dir) as service:
         results = service.run_batch(jobs)
         stats = service.stats()
     for index, (job, result) in enumerate(zip(jobs, results)):
@@ -266,13 +265,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             for line in result.explain().splitlines():
                 print(f"    {line}")
     print(f"jobs     : {len(jobs)}")
-    if stats["plan_cache_scope"] == "per-worker":
-        print(f"plan cache: per-worker process caches "
-              f"(mode={stats['mode']}, workers={stats['workers']})")
-    else:
-        print(f"plan cache: {stats['hits']} hits / {stats['misses']} misses "
-              f"({stats['plans']} plans, mode={stats['mode']}, "
-              f"workers={stats['workers']})")
+    print(f"plan cache: {stats['hits']} hits / {stats['misses']} misses "
+          f"({stats['plans']} plans)")
     if args.output:
         payload = [
             {
@@ -368,8 +362,7 @@ def _cmd_session(args: argparse.Namespace) -> int:
                   f"restored {pool['restored']})")
     else:
         jobs = streams[0]
-        with CountingSession(workers=args.workers, mode=args.mode,
-                             cache_dir=args.cache_dir,
+        with CountingSession(cache_dir=args.cache_dir,
                              **session_kwargs) as session:
             results = session.run_stream(jobs)
             stats = session.stats()
@@ -387,15 +380,10 @@ def _cmd_session(args: argparse.Namespace) -> int:
               f"{maintainers['resident_bytes']}B resident "
               f"(spilled {maintainers['spilled']}, "
               f"restored {maintainers['restored']})")
-        if stats["plan_cache_scope"] == "per-worker":
-            print(f"plan cache: per-worker process caches "
-                  f"(mode={stats['mode']}, workers={stats['workers']}, "
-                  f"cache_dir={stats['cache_dir']})")
-        else:
-            print(f"plan cache: {stats['hits']} hits / "
-                  f"{stats['misses']} misses "
-                  f"({stats['plans']} plans, mode={stats['mode']}, "
-                  f"cache_dir={stats['cache_dir']})")
+        print(f"plan cache: {stats['hits']} hits / "
+              f"{stats['misses']} misses "
+              f"({stats['plans']} plans, "
+              f"cache_dir={stats['cache_dir']})")
     if args.output:
         with open(args.output, "w") as handle:
             json.dump(payload, handle, indent=2, default=repr)
@@ -629,11 +617,6 @@ def build_parser() -> argparse.ArgumentParser:
         "batch", help="run a batch job file through the counting service"
     )
     batch.add_argument("jobs", help="path to a batch job file (JSON)")
-    batch.add_argument("--workers", type=int, default=0,
-                       help="worker-pool size (0/1 = inline execution)")
-    batch.add_argument("--mode", default="auto",
-                       choices=["auto", "inline", "thread", "process"],
-                       help="execution mode (auto: inline unless workers>1)")
     batch.add_argument("--explain", action="store_true",
                        help="dump each job's decision trail")
     batch.add_argument("--output", default=None,
@@ -658,13 +641,6 @@ def build_parser() -> argparse.ArgumentParser:
     session.add_argument("jobs", nargs="+",
                          help="session stream file(s) (JSONL); each file "
                               "is one writer stream")
-    session.add_argument("--workers", type=int, default=0,
-                         help="worker-pool size for engine-bound counts "
-                              "(single-writer sessions only)")
-    session.add_argument("--mode", default="auto",
-                         choices=["auto", "inline", "thread", "process"],
-                         help="execution mode of the engine fallback "
-                              "(single-writer sessions only)")
     session.add_argument("--shards", type=int, default=0,
                          help="shard the session onto N workers (hash-"
                              "partitioned by database name; 0 = single-"

@@ -2,7 +2,7 @@
 
 After PRs 1-5 the engine pays the *planning* cost exactly once per query
 shape (canonical fingerprints, shared :class:`~repro.counting.plan_cache.
-PlanCache`, on-disk envelopes, warm-started worker pools) but still
+PlanCache`, on-disk envelopes, warm-started services) but still
 re-interprets every cached plan over generic schema-carrying operators on
 every execution: each count re-derives shared columns, rebuilds key
 extractors, and re-runs the full reducer even though all of that is a

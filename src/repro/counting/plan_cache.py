@@ -13,8 +13,8 @@ spilled to a cache directory as a self-verifying JSON entry (one file per
 plan, atomic writes, safe for several processes sharing the directory),
 and a memory miss consults the directory before recomputing.  A process
 that starts with a populated directory therefore begins *warm* — this is
-how the counting service's process pools skip re-planning on worker
-start (``REPRO_PLAN_CACHE_DIR`` or ``cache_dir=``).  Corrupted, foreign
+how a fresh counting service or shard server skips re-planning
+(``REPRO_PLAN_CACHE_DIR`` or ``cache_dir=``).  Corrupted, foreign
 or stale entries are detected (envelope checksum, format version, full
 key match) and silently discarded and rebuilt; a wrong plan is never
 served.
@@ -524,8 +524,8 @@ class PersistentPlanCache(PlanCache):
 
 # ----------------------------------------------------------------------
 # The process-wide default cache behind plain ``count_answers`` calls.
-# Created lazily so ``REPRO_PLAN_CACHE_DIR`` (set by CI legs, the CLI, or
-# a process-pool worker initializer) can route it to a spill directory.
+# Created lazily so ``REPRO_PLAN_CACHE_DIR`` (set by CI legs or the CLI)
+# can route it to a spill directory.
 # ----------------------------------------------------------------------
 _DEFAULT: Optional[PlanCache] = None
 _DEFAULT_LOCK = threading.Lock()
@@ -554,9 +554,8 @@ def set_default_plan_cache(cache: Optional[PlanCache]) -> Optional[PlanCache]:
     """Replace the process-wide default cache; returns the previous one.
 
     ``None`` resets to lazy re-creation (honoring the environment again
-    at the next :func:`default_plan_cache` call).  Used by process-pool
-    worker initializers to start warm from a spill directory, and by
-    tests.
+    at the next :func:`default_plan_cache` call).  Used by tests and
+    benchmarks.
     """
     global _DEFAULT
     with _DEFAULT_LOCK:

@@ -18,8 +18,8 @@ encoding buys:
   int64 arrays.  The compiled execution tier
   (:mod:`repro.counting.compile`) and the backend-dispatching operators
   in :mod:`repro.db.algebra` build on these kernels;
-* **cheap pickling** — process-pool workers receive dictionaries plus
-  raw code bytes, never a materialized row set.
+* **cheap pickling** — a maintainer checkpoint stores dictionaries
+  plus raw code bytes, never a materialized row set.
 
 numpy is used when importable and never required, and it is imported
 on the first kernel call, not with this module: a tuple-backend process

@@ -92,7 +92,7 @@ class Relation:
         return f"Relation({self.name!r}, arity={self.arity}, |rows|={len(self)})"
 
     # ------------------------------------------------------------------
-    # Pickling (process-pool workers): ship the contents, not the caches.
+    # Pickling (maintainer checkpoints): ship the contents, not the caches.
     def __getstate__(self):
         return (self.name, self.arity, self._rows)
 

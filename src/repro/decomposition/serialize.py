@@ -9,8 +9,7 @@ execution plan — step lists and permutations, never pickled code), or
 ``None`` for a memoized *failed* search — is a tree of frozen dataclasses,
 queries,
 atoms and join trees with no live caches attached, so the stdlib pickle
-round-trips them faithfully (the process-pool service already ships the
-same objects across workers).  What pickle does *not* give us is safety
+round-trips them faithfully.  What pickle does *not* give us is safety
 against a corrupted or stale spill file, so the persistent plan cache
 never stores a naked pickle: :func:`serialize_plan` wraps the payload in
 an envelope carrying a format version and a content checksum, and

@@ -129,8 +129,8 @@ def all_colored_cores(query: ConjunctiveQuery) -> List[ConjunctiveQuery]:
 #: the sampler and repeated counting calls keep asking for the same
 #: (query, width) searches — including failed ones, which are exactly as
 #: expensive and just as cacheable.  The lock guards the
-#: check/move/evict sequences: the batch service's thread mode reaches
-#: this memo from pool workers.
+#: check/move/evict sequences: thread shards (and a shard server's shard
+#: cores) reach this memo concurrently.
 _SEARCH_MEMO: "OrderedDict[tuple, Optional[SharpDecomposition]]" = OrderedDict()
 _SEARCH_MEMO_CAP = 256
 _SEARCH_MEMO_LOCK = threading.Lock()

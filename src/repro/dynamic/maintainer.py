@@ -586,9 +586,8 @@ class MaintainerPool:
     not a cross-process exchange format.
 
     Not thread-safe by design: the session applies updates and reads
-    maintained counts from its submission thread only (engine fallbacks
-    are what fan out to worker pools); a sharded front end gives each
-    shard its own pool.
+    maintained counts from its submission thread only; a sharded front
+    end gives each shard its own pool.
     """
 
     def __init__(self, capacity: int = 64,

@@ -12,7 +12,6 @@ string is how the CI matrix expresses "leg does not set this knob").
 The knobs currently wired through here:
 
 * ``REPRO_SESSION_SHARDS`` — :func:`repro.service.default_shards`
-* ``REPRO_SERVICE_WORKERS`` — :func:`repro.service.default_workers`
 * ``REPRO_MAINTAINER_BUDGET_MB`` —
   :func:`repro.dynamic.maintainer.maintainer_budget_from_env`
 * ``REPRO_COMPILED`` — :func:`repro.counting.compile.compiled_enabled`

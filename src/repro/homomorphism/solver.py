@@ -137,8 +137,8 @@ _SPACE_MEMO: "OrderedDict[tuple, _SearchSpace]" = OrderedDict()
 _SPACE_MEMO_CAP = 64
 
 
-#: Guards the check/move/evict sequences: the batch service's thread mode
-#: reaches this memo from pool workers.
+#: Guards the check/move/evict sequences: thread shards (and a shard
+#: server's shard cores) reach this memo concurrently.
 _SPACE_MEMO_LOCK = threading.Lock()
 
 

@@ -38,7 +38,7 @@ from .router import (
     ShardWorker,
     default_shards,
 )
-from .service import MODES, CountingService, default_workers
+from .service import CountingService
 from .shard import SessionShard
 from .session import (
     AttachDatabase,
@@ -61,7 +61,6 @@ __all__ = [
     "CountingSession",
     "DEFAULT_RETRY_AFTER_MS",
     "JobFileError",
-    "MODES",
     "MultiWriterSession",
     "ShardSaturatedError",
     "PersistentPlanCache",
@@ -76,7 +75,6 @@ __all__ = [
     "default_shards",
     "canonical_form",
     "default_plan_cache",
-    "default_workers",
     "dump_jobs",
     "dump_stream",
     "job_from_spec",

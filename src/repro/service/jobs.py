@@ -153,16 +153,41 @@ def count_options_to_spec(job) -> Dict[str, object]:
     return spec
 
 
+def _database_from_spec(spec, where: str) -> Database:
+    """:func:`database_from_dict` over outside input: any malformed
+    relation becomes a :class:`JobFileError` naming *where*."""
+    if not isinstance(spec, dict):
+        raise JobFileError(f"{where} must be an object of relations, "
+                           f"got {type(spec).__name__}")
+    try:
+        return database_from_dict(spec)
+    except (TypeError, ValueError, ReproError) as error:
+        raise JobFileError(f"{where} has malformed relations: {error}") \
+            from None
+
+
 def load_jobs(path: str) -> List[CountJob]:
-    """Parse a job file into :class:`CountJob`\\ s with shared databases."""
+    """Parse a job file into :class:`CountJob`\\ s with shared databases.
+
+    Every malformed part of the file (or of a database file it
+    references) raises :class:`JobFileError` naming the job file and the
+    job position or database name.
+    """
     with open(path) as handle:
-        payload = json.load(handle)
+        try:
+            payload = json.load(handle)
+        except json.JSONDecodeError as error:
+            raise JobFileError(f"{path}: not valid JSON: {error}") from None
     if not isinstance(payload, dict) or not isinstance(payload.get("jobs"),
                                                       list):
         raise JobFileError(f"{path}: expected an object with a 'jobs' list")
+    databases = payload.get("databases", {})
+    if not isinstance(databases, dict):
+        raise JobFileError(f"{path}: 'databases' must be an object, "
+                           f"got {type(databases).__name__}")
     named: Dict[str, Database] = {
-        name: database_from_dict(spec)
-        for name, spec in payload.get("databases", {}).items()
+        name: _database_from_spec(spec, f"{path}: database {name!r}")
+        for name, spec in databases.items()
     }
     loaded_paths: Dict[str, Database] = {}
     base_dir = os.path.dirname(os.path.abspath(path))
@@ -191,17 +216,20 @@ def load_jobs(path: str) -> List[CountJob]:
         else:
             resolved = os.path.join(base_dir, reference)
             if resolved not in loaded_paths:
+                where = f"{path}: job {position}: database file {reference!r}"
                 try:
                     with open(resolved) as handle:
-                        loaded_paths[resolved] = database_from_dict(
-                            json.load(handle)
-                        )
+                        relations = json.load(handle)
                 except OSError as error:
                     raise JobFileError(
                         f"{path}: job {position}: database {reference!r} is "
                         f"neither a named database nor a readable file "
                         f"({error})"
                     ) from None
+                except json.JSONDecodeError as error:
+                    raise JobFileError(f"{where} is not valid JSON: {error}") \
+                        from None
+                loaded_paths[resolved] = _database_from_spec(relations, where)
             database = loaded_paths[resolved]
         try:
             options = count_options_from_spec(spec)

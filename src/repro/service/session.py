@@ -18,14 +18,12 @@ counting paths behind one router:
   per read, when the next count of that database arrives;
 * **engine** — fresh or non-maintainable shapes fall back to
   ``count_answers`` through the session's
-  :class:`~repro.service.CountingService` (inline, thread, or process
-  pools), each job bound to the database *version* current at submission
-  so batching never reorders a same-database update/count interleaving;
+  :class:`~repro.service.CountingService`, each job bound to the
+  database *version* current at submission;
 * **persistent plans** — both paths share the session's plan cache;
   with a ``cache_dir`` it is a
   :class:`~repro.counting.plan_cache.PersistentPlanCache`, so plans
-  survive the session and warm the next process (and the process pool's
-  workers).
+  survive the session and warm the next process.
 
 An update is atomic: it is validated against the current database (a
 delete of an absent row or an arity mismatch raises
@@ -114,9 +112,7 @@ class CountingSession(SessionShard):
 
     The single-writer session *is* one
     :class:`~repro.service.shard.SessionShard` (same parameters, same
-    methods), plus :meth:`run_stream`'s batching of engine-bound counts
-    through the shard's :class:`~repro.service.CountingService` worker
-    pool (*workers*, *mode*).  ``maintain=False`` disables the
+    methods), plus :meth:`run_stream`.  ``maintain=False`` disables the
     maintained path entirely (every count goes through the engine) —
     the differential harness uses it as one of its replay
     configurations.  ``maintainer_budget_bytes`` caps the resident
@@ -135,35 +131,8 @@ class CountingSession(SessionShard):
     submit = SessionShard.execute
 
     def run_stream(self, jobs: Iterable[SessionJob]) -> List[object]:
-        """Run a job stream; results come back in job order.
-
-        Engine-bound counts are buffered and executed through the
-        service's worker pool in batches; because every buffered job is
-        bound to its database *version* at submission time, updates act
-        on fresh versions and the observable results are exactly those
-        of sequential execution — counts and updates on the same
-        database stay strictly ordered, while counts on distinct
-        databases are free to run concurrently.
-        """
-        jobs = list(jobs)
-        results: List[Optional[object]] = [None] * len(jobs)
-        pending: List[tuple] = []  # (result index, CountJob)
-        for index, job in enumerate(jobs):
-            if isinstance(job, CountRequest):
-                maintained, engine_job = self.route_count(job)
-                if maintained is not None:
-                    results[index] = maintained
-                else:
-                    pending.append((index, engine_job))
-            else:
-                results[index] = self.execute(job)
-        batch = self._service.run_batch([job for _, job in pending])
-        for (index, _), result in zip(pending, batch):
-            results[index] = result
-            if result.strategy == "compiled":
-                self.compiled_counts += 1
-        self.engine_counts += len(batch)
-        return results  # type: ignore[return-value]
+        """Run a job stream in order; results come back in job order."""
+        return [self.execute(job) for job in jobs]
 
     def stats(self) -> dict:
         """Session counters over a flat service/plan-cache snapshot."""

@@ -14,8 +14,7 @@ Each shard owns its :class:`~repro.service.CountingService` engine
 fallback, and two front ends are built from it:
 
 * :class:`~repro.service.session.CountingSession` — the single-writer
-  session *is* a shard, plus stream batching through its service's
-  worker pool;
+  session *is* a shard, plus stream replay;
 * :class:`~repro.service.router.MultiWriterSession` — the sharded
   front end hash-partitions databases onto N shards, each confined to
   its own :class:`~repro.service.router.ShardWorker` (locally, or on a
@@ -30,7 +29,7 @@ guarantee).
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..counting.engine import CountResult
 from ..counting.plan_cache import PlanCache, known_content_tag
@@ -59,13 +58,10 @@ class SessionShard:
     ----------
     databases:
         Named databases attached at construction.
-    workers, mode, plan_cache, cache_dir:
+    plan_cache, cache_dir:
         The shard's own :class:`CountingService` engine fallback.
-        Sharded front ends keep the inline default (parallelism comes
-        from the shards, not nested pools); the single-writer
-        :class:`~repro.service.session.CountingSession` batches its
-        stream through a pool.  Thread shards share one plan cache; a
-        shard on a shard server uses its server's.
+        Thread shards share one plan cache; a shard on a shard server
+        uses its server's.
     maintain, maintainer_capacity, maintainer_budget_bytes,
     maintainer_spill_dir:
         The maintained-path knobs: the pool's entry-count bound, its
@@ -83,7 +79,6 @@ class SessionShard:
     """
 
     def __init__(self, databases: Optional[Dict[str, Database]] = None,
-                 workers: int = 0, mode: str = "auto",
                  plan_cache: Optional[PlanCache] = None,
                  cache_dir: Optional[str] = None,
                  maintain: bool = True,
@@ -93,8 +88,7 @@ class SessionShard:
                  maintain_reduced: bool = True,
                  reduced_max_width: int = DEFAULT_REDUCED_WIDTH,
                  label: Optional[str] = None):
-        self._service = CountingService(workers=workers, mode=mode,
-                                        plan_cache=plan_cache,
+        self._service = CountingService(plan_cache=plan_cache,
                                         cache_dir=cache_dir)
         self.plan_cache = self._service.plan_cache
         self.maintain = maintain
@@ -332,9 +326,8 @@ class SessionShard:
             error_budget=getattr(request, "error_budget", None),
         )
 
-    def route_count(self, request) -> Tuple[Optional[CountResult],
-                                            Optional[CountJob]]:
-        """``(maintained result, engine job)`` — exactly one is set.
+    def count(self, request) -> CountResult:
+        """Serve one count now (maintained if possible, engine otherwise).
 
         Raises when ``method='maintained'`` is forced but cannot be
         served, distinguishing a disabled session from an unmaintainable
@@ -342,7 +335,7 @@ class SessionShard:
         """
         maintained = self._maintained_result(request)
         if maintained is not None:
-            return maintained, None
+            return maintained
         if request.method == "maintained":
             if not self.maintain:
                 raise ReproError(
@@ -363,15 +356,8 @@ class SessionShard:
                 f"quantifier-free acyclic query or a bounded-#htw shape "
                 f"maintainable through the Theorem 3.7 reduction"
             )
-        return None, self.engine_job(request)
-
-    def count(self, request) -> CountResult:
-        """Serve one count now (maintained if possible, engine otherwise)."""
-        maintained, job = self.route_count(request)
-        if maintained is not None:
-            return maintained
         self.engine_counts += 1
-        result = self._service.run_job(job)
+        result = self._service.run_job(self.engine_job(request))
         if result.strategy == "compiled":
             self.compiled_counts += 1
         return result

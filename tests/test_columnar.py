@@ -13,7 +13,7 @@ Four layers, tested bottom-up:
 * the differential harness — ``columnar == tuple == brute force`` for
   the full engine (auto and compiled) on a random corpus, and through
   the sharded session in every shard-worker flavor including ``tcp``
-  (which also exercises pickling through process pools and the wire).
+  (which also exercises the wire codec).
 """
 
 from __future__ import annotations

@@ -169,7 +169,7 @@ class TestDifferentialReplayInline:
 
 
 class TestDifferentialReplayPooled:
-    """The same agreement through the worker-pool stream path."""
+    """The same agreement through :meth:`CountingSession.run_stream`."""
 
     def _stream_jobs(self, seed: int, steps: int = 12):
         rng = random.Random(seed)
@@ -189,29 +189,26 @@ class TestDifferentialReplayPooled:
             expected.append(count_answers(CYCLIC, current).count)
         return databases, jobs, expected
 
-    @pytest.mark.parametrize("mode,workers", [
-        ("inline", 0), ("thread", 2), ("process", 2),
-    ])
-    def test_stream_matches_sequential_recounts(self, mode, workers):
+    def test_stream_matches_sequential_recounts(self):
         databases, jobs, expected = self._stream_jobs(seed=7)
-        with CountingSession(databases=databases, mode=mode,
-                             workers=workers) as session:
+        with CountingSession(databases=databases) as session:
             results = session.run_stream(jobs)
         counts = [result.count for result in results
                   if hasattr(result, "count")]
         assert counts == expected
 
     def test_modes_agree_job_for_job(self):
-        databases_a, jobs, _ = self._stream_jobs(seed=11)
-        outcomes = {}
-        for mode, workers in (("inline", 0), ("thread", 2), ("process", 2)):
-            databases, stream, _ = self._stream_jobs(seed=11)
-            with CountingSession(databases=databases, mode=mode,
-                                 workers=workers) as session:
+        """Maintained, engine-only and acyclic-only routing agree with
+        each other and with the sequential recounts."""
+        outcomes = []
+        for options in ({}, {"maintain": False},
+                        {"maintain_reduced": False}):
+            databases, stream, expected = self._stream_jobs(seed=11)
+            with CountingSession(databases=databases, **options) as session:
                 results = session.run_stream(stream)
-            outcomes[mode] = [result.count for result in results
-                              if hasattr(result, "count")]
-        assert outcomes["inline"] == outcomes["thread"] == outcomes["process"]
+            outcomes.append([result.count for result in results
+                             if hasattr(result, "count")])
+        assert outcomes == [expected] * 3
 
 
 # ----------------------------------------------------------------------

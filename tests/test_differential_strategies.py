@@ -5,12 +5,16 @@ on a corpus of random instances, every applicable registered strategy
 (brute force, acyclic DP, structural, #-relation/degree, hybrid) and the
 FAQ Inside-Out comparator must return the same count — and the batched
 service must return exactly the sequential engine's results job-for-job,
-in every execution mode.
+however the batch reaches it.
 """
 
 from __future__ import annotations
 
+import json
 import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -18,11 +22,12 @@ from repro.counting.brute_force import count_brute_force
 from repro.counting.engine import count_answers, registered_strategies
 from repro.exceptions import DecompositionNotFoundError, NotAcyclicError
 from repro.faq import count_insideout
-from repro.service import CountJob, CountingService, PlanCache
+from repro.service import CountJob, CountingService, PlanCache, dump_jobs
 from repro.workloads.random_instances import random_instance
 
-#: Worker count for pooled runs; the CI matrix raises it via env.
-WORKERS = max(2, int(os.environ.get("REPRO_SERVICE_WORKERS", "2") or 2))
+#: The package sources, for the ``repro batch`` subprocess.
+SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "src")
 
 #: Deterministic corpus: alternating cyclic/acyclic random instances.
 CORPUS_SEEDS = tuple(range(10))
@@ -69,8 +74,29 @@ def test_faq_insideout_agrees(seed, query, database):
         count_brute_force(query, database)
 
 
+def _batch_in_subprocess(jobs, tmp_path):
+    """Run *jobs* through ``python -m repro batch`` in a fresh process
+    and return its ``--output`` records."""
+    job_file = tmp_path / "jobs.json"
+    output = tmp_path / "results.json"
+    dump_jobs(str(job_file), jobs)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC_DIR] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    completed = subprocess.run(
+        [sys.executable, "-m", "repro", "batch", str(job_file),
+         "--output", str(output)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert completed.returncode == 0, completed.stderr
+    return json.loads(output.read_text())
+
+
 @pytest.mark.parametrize("mode", ["inline", "thread", "process"])
-def test_batched_service_equals_sequential_job_for_job(mode):
+def test_batched_service_equals_sequential_job_for_job(mode, tmp_path):
+    """The one service path, reached three ways: ``run_batch`` on the
+    caller's thread, two services sharing one plan cache on concurrent
+    threads, and the ``repro batch`` CLI in a fresh process."""
     jobs = [
         CountJob(query=query, database=database,
                  label=f"seed{seed}")
@@ -80,18 +106,31 @@ def test_batched_service_equals_sequential_job_for_job(mode):
         count_answers(job.query, job.database, **job.engine_kwargs())
         for job in jobs
     ]
-    with CountingService(
-        workers=1 if mode == "inline" else WORKERS,
-        mode=mode, plan_cache=PlanCache(),
-    ) as service:
-        batched = service.run_batch(jobs)
-    assert len(batched) == len(jobs)
-    for job, sequential_result, batched_result in zip(jobs, sequential,
-                                                      batched):
-        assert batched_result.count == sequential_result.count, job.label
-        assert batched_result.strategy == sequential_result.strategy, \
-            job.label
-        assert batched_result.details["job"] == job.label
+    if mode == "inline":
+        with CountingService(plan_cache=PlanCache()) as service:
+            runs = [[(r.count, r.strategy, r.details["job"])
+                     for r in service.run_batch(jobs)]]
+    elif mode == "thread":
+        shared = PlanCache()
+
+        def run_on_own_service():
+            with CountingService(plan_cache=shared) as service:
+                return [(r.count, r.strategy, r.details["job"])
+                        for r in service.run_batch(jobs)]
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(run_on_own_service) for _ in range(2)]
+            runs = [future.result() for future in futures]
+    else:
+        runs = [[(r["count"], r["strategy"], r["label"])
+                 for r in _batch_in_subprocess(jobs, tmp_path)]]
+    for batched in runs:
+        assert len(batched) == len(jobs)
+        for job, sequential_result, (count, strategy, label) in zip(
+                jobs, sequential, batched):
+            assert count == sequential_result.count, job.label
+            assert strategy == sequential_result.strategy, job.label
+            assert label == job.label
 
 
 # ----------------------------------------------------------------------

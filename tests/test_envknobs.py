@@ -19,9 +19,6 @@ from repro.dynamic.maintainer import (
 )
 from repro.envknobs import env_flag, env_float, env_int, reset_env_warnings
 from repro.service.router import SESSION_SHARDS_ENV, default_shards
-from repro.service.service import default_workers
-
-WORKERS_ENV = "REPRO_SERVICE_WORKERS"
 
 
 @pytest.fixture(autouse=True)
@@ -88,17 +85,6 @@ class TestSessionShardsKnob:
     def test_nonpositive_clamped(self, monkeypatch):
         monkeypatch.setenv(SESSION_SHARDS_ENV, "-3")
         assert default_shards() == 1
-
-
-class TestServiceWorkersKnob:
-    def test_valid(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "3")
-        assert default_workers() == 3
-
-    def test_garbage_warns_and_uses_default(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "many")
-        with pytest.warns(RuntimeWarning, match=WORKERS_ENV):
-            assert default_workers() >= 1
 
 
 class TestMaintainerBudgetKnob:

@@ -2,8 +2,8 @@
 
 Plans must survive save/load across cache instances (and processes); a
 corrupted or stale spill entry must be detected and silently rebuilt —
-never served; a warm-started process pool must answer without
-re-planning; and a dynamic update must invalidate exactly the
+never served; a fresh service over a populated directory must answer
+without re-planning; and a dynamic update must invalidate exactly the
 data-dependent plans whose relation contents it touches.
 """
 
@@ -188,27 +188,24 @@ class TestPersistentRoundTrip:
         assert len(cache) == 0
 
 
-class TestWarmProcessPool:
-    def test_warm_started_pool_answers_without_replanning(self, tmp_path):
+class TestWarmStart:
+    def test_fresh_service_answers_without_replanning(self, tmp_path):
         directory = str(tmp_path / "plans")
         jobs = batch_jobs(n_jobs=6, n_shapes=2, seed=9,
                           n_variables=5, n_atoms=4, domain_size=5,
                           tuples_per_relation=12)
-        # Populate the spill directory once, inline.
-        with CountingService(workers=0, cache_dir=directory) as warmup:
+        # Populate the spill directory once.
+        with CountingService(cache_dir=directory) as warmup:
             expected = [r.count for r in warmup.run_batch(jobs)]
         assert PersistentPlanCache(directory).disk_entries() > 0
 
-        # A *fresh* process pool over the populated directory: the single
-        # worker must serve every job from disk, with zero plan computes.
-        with CountingService(workers=1, mode="process",
-                             cache_dir=directory) as pool:
-            counts = [r.count for r in pool.run_batch(jobs)]
-            stats = pool.worker_cache_stats()[0]
+        # A *fresh* service over the populated directory must serve
+        # every job from disk, with zero plan computes.
+        with CountingService(cache_dir=directory) as fresh:
+            counts = [r.count for r in fresh.run_batch(jobs)]
+            stats = fresh.stats()
         assert counts == expected
-        assert stats["misses"] == 0, (
-            f"warm worker re-planned: {stats}"
-        )
+        assert stats["misses"] == 0, f"fresh service re-planned: {stats}"
         assert stats["disk_hits"] > 0
 
     def test_default_cache_honors_environment(self, tmp_path):

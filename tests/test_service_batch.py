@@ -1,6 +1,6 @@
 """Tests for the batch counting service, job files, and the batch CLI.
 
-Covers the service's execution modes, explain-trail fidelity, the
+Covers in-order batch execution, explain-trail fidelity, the
 JSON-serializability contract on ``CountResult.details`` (decision
 trails must round-trip through ``json``), job-file round-trips with
 shared databases, and the ``python -m repro batch`` subcommand.
@@ -9,7 +9,6 @@ shared databases, and the ``python -m repro batch`` subcommand.
 from __future__ import annotations
 
 import json
-import os
 
 import pytest
 
@@ -24,9 +23,6 @@ from repro.service import (
     load_jobs,
 )
 from repro.workloads.batch_jobs import batch_jobs, write_batch_job_file
-
-WORKERS = max(2, int(os.environ.get("REPRO_SERVICE_WORKERS", "2") or 2))
-
 
 def count_options(job) -> dict:
     """The seven count fields a job file and a session stream carry."""
@@ -52,6 +48,7 @@ class TestCountingService:
                                    **job.engine_kwargs())
             assert result.count == direct.count
             assert result.strategy == direct.strategy
+            assert result.details["job"] == job.label
 
     def test_results_keep_explain_trails(self, small_jobs):
         service = CountingService(plan_cache=PlanCache())
@@ -71,54 +68,8 @@ class TestCountingService:
         assert after_second["misses"] == after_first["misses"]
         assert after_second["hits"] > after_first["hits"]
 
-    def test_thread_pool_matches_inline(self, small_jobs):
-        inline = CountingService(plan_cache=PlanCache())
-        threaded = CountingService(workers=WORKERS, mode="thread",
-                                   plan_cache=PlanCache())
-        inline_counts = [r.count for r in inline.run_batch(small_jobs)]
-        threaded_counts = [r.count for r in threaded.run_batch(small_jobs)]
-        assert threaded_counts == inline_counts
-
-    def test_process_pool_matches_inline(self, small_jobs):
-        inline = CountingService(plan_cache=PlanCache())
-        inline_counts = [r.count for r in inline.run_batch(small_jobs)]
-        with CountingService(workers=WORKERS, mode="process") as pooled:
-            pooled_results = pooled.run_batch(small_jobs)
-            assert [r.count for r in pooled_results] == inline_counts
-            # Labels survive the process boundary.
-            assert [r.details["job"] for r in pooled_results] == \
-                [job.label for job in small_jobs]
-            # The pool persists across batches (per-worker caches carry
-            # over) and a second batch still agrees.
-            assert pooled._process_pool is not None
-            again = pooled.run_batch(small_jobs)
-            assert [r.count for r in again] == inline_counts
-            assert pooled.stats()["plan_cache_scope"] == "per-worker"
-        assert pooled._process_pool is None  # context exit closed it
-
-    def test_stats_scope_for_shared_modes(self):
-        assert CountingService().stats()["plan_cache_scope"] == "shared"
-        assert CountingService(workers=2, mode="thread").stats()[
-            "plan_cache_scope"] == "shared"
-
     def test_empty_batch(self):
         assert CountingService().run_batch([]) == []
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            CountingService(mode="fleet")
-
-    def test_mode_resolution(self):
-        assert CountingService(workers=0, mode="auto").mode == "inline"
-        assert CountingService(workers=1, mode="auto").mode == "inline"
-        assert CountingService(workers=4, mode="auto").mode == "process"
-        # An explicitly requested pool mode is honored, never silently
-        # downgraded; workers=0 then defaults to default_workers().
-        threaded = CountingService(workers=0, mode="thread")
-        assert threaded.mode == "thread" and threaded.workers >= 1
-        single = CountingService(workers=1, mode="process")
-        assert single.mode == "process" and single.workers == 1
-        assert single.run_batch([]) == []
 
 
 class TestDetailsSerialization:
@@ -245,6 +196,28 @@ class TestJobFiles:
         with pytest.raises(JobFileError):
             load_jobs(str(path))
 
+    @pytest.mark.parametrize("payload,names", [
+        ({"databases": [], "jobs": []}, "'databases'"),
+        ({"databases": {"db0": {"r": 5}},
+          "jobs": [{"query": "ans(A) :- r(A, B)", "database": "db0"}]},
+         "'db0'"),
+        ({"jobs": [{"query": "ans(A) :- r(A, B)", "database": "db.json"}]},
+         "job 0: database file 'db.json'"),
+    ], ids=["databases-list", "relation-not-rows", "database-file-not-json"])
+    def test_malformed_input_is_a_job_file_error(self, tmp_path, capsys,
+                                                 payload, names):
+        (tmp_path / "db.json").write_text("{not json")
+        path = tmp_path / "jobs.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(JobFileError) as raised:
+            load_jobs(str(path))
+        assert str(path) in str(raised.value)
+        assert names in str(raised.value)
+        assert main(["batch", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and names in err
+        assert "Traceback" not in err
+
 
 class TestBatchCli:
     def test_batch_command_runs_and_reports(self, tmp_path, capsys):
@@ -265,8 +238,7 @@ class TestBatchCli:
         write_batch_job_file(str(jobs_path), n_jobs=4, n_shapes=2, seed=3,
                              n_variables=5, n_atoms=4, domain_size=5,
                              tuples_per_relation=12)
-        code = main(["batch", str(jobs_path), "--workers", str(WORKERS),
-                     "--mode", "thread", "--output", str(out_path)])
+        code = main(["batch", str(jobs_path), "--output", str(out_path)])
         assert code == 0
         payload = json.loads(out_path.read_text())
         assert len(payload) == 4

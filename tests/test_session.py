@@ -113,11 +113,9 @@ class TestOrderingContract:
             count_answers(PATH, versions[2]).count,
             count_answers(CYCLIC, versions[2]).count,
         ]
-        for mode, workers in (("inline", 0), ("thread", 2)):
-            with CountingSession(databases={"main": path_database()},
-                                 mode=mode, workers=workers) as session:
-                results = session.run_stream(stream)
-            assert result_counts(results) == expected
+        with CountingSession(databases={"main": path_database()}) as session:
+            results = session.run_stream(stream)
+        assert result_counts(results) == expected
 
     def test_submit_and_run_stream_agree(self):
         jobs = session_stream_jobs(n_shapes=2, rounds=4, seed=3)
