@@ -140,10 +140,19 @@ def deadline_snapshot() -> dict:
     return _load_bench_module("bench_deadline").snapshot()
 
 
+def canonical_snapshot() -> dict:
+    """The canonical-labelling numbers (bench_canonical): µs per form
+    over the ad-hoc pattern universe, and the symmetric families'
+    worst-case milliseconds."""
+    return _load_bench_module("bench_canonical").snapshot()
+
+
 def _git_revision() -> str:
+    """The short commit hash, suffixed ``-dirty`` when tracked files
+    differ from it (the numbers then measure uncommitted code)."""
     try:
         completed = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
+            ["git", "describe", "--always", "--dirty", "--abbrev=7"],
             cwd=REPO_ROOT, capture_output=True, text=True, timeout=10,
         )
         if completed.returncode == 0:
@@ -171,6 +180,7 @@ _HEADLINES = (
      ("deadline", "deadline_within_fraction")),
     ("net_speedup", ("net", "net_speedup")),
     ("handoff_paused_s", ("net", "handoff_paused_s")),
+    ("canonical_us_per_form", ("canonical", "canonical_us_per_form")),
 )
 
 
@@ -233,7 +243,8 @@ def main(argv=None) -> int:
         if path.name not in ("bench_batch_service.py", "bench_session.py",
                              "bench_shards.py", "bench_reduced.py",
                              "bench_compiled.py", "bench_columnar.py",
-                             "bench_deadline.py", "bench_net_fabric.py")
+                             "bench_deadline.py", "bench_net_fabric.py",
+                             "bench_canonical.py")
     )
     snapshot = {
         "generated_unix": int(time.time()),
@@ -343,6 +354,15 @@ def main(argv=None) -> int:
             failures += 1
             print("[bench]   FAILED (graceful handoff lost a job or "
                   "overran its pause bound)", flush=True)
+        snapshot["canonical"] = canonical_snapshot()
+        print(f"[bench] canonical: "
+              f"{snapshot['canonical']['canonical_us_per_form']}us per form "
+              f"over the ad-hoc universe; symmetric families at most "
+              f"{snapshot['canonical']['family_max_ms']}ms", flush=True)
+        if not snapshot["canonical"]["meets_canonical_bar"]:
+            failures += 1
+            print("[bench]   FAILED (a symmetric family over its ceiling, "
+                  "or a renaming split a fingerprint)", flush=True)
     for name in files:
         print(f"[bench] {name} ...", flush=True)
         outcome = run_benchmark_files([name])

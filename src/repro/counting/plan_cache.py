@@ -212,6 +212,10 @@ class PlanCache:
         self.misses = 0
         self.canonical_hits = 0
         self.canonical_misses = 0
+        #: Search leaves / orbit-pruned branches summed over the
+        #: canonicalizations this cache ran (its canonical misses).
+        self.canonical_leaves = 0
+        self.canonical_pruned = 0
         self.invalidated = 0
 
     # ------------------------------------------------------------------
@@ -226,6 +230,8 @@ class PlanCache:
             self.canonical_misses += 1
         form = canonical_form(query)
         with self._lock:
+            self.canonical_leaves += form.search_stats["explored"]
+            self.canonical_pruned += form.search_stats["pruned"]
             self._forms[query] = form
             if len(self._forms) > self.canonical_capacity:
                 self._forms.popitem(last=False)
@@ -346,6 +352,8 @@ class PlanCache:
                 "misses": self.misses,
                 "canonical_hits": self.canonical_hits,
                 "canonical_misses": self.canonical_misses,
+                "canonical_leaves": self.canonical_leaves,
+                "canonical_pruned": self.canonical_pruned,
                 "invalidated": self.invalidated,
             }
             if self.label is not None:

@@ -116,6 +116,71 @@ def triangle_per_vertex_query() -> ConjunctiveQuery:
 
 
 # ----------------------------------------------------------------------
+# Symmetric shapes (canonical-labelling stress families)
+# ----------------------------------------------------------------------
+def parallel_edges_query(k: int) -> ConjunctiveQuery:
+    """``r0(A0, B0), ..., r{k-1}(Ak-1, Bk-1)``: k disjoint edges, each
+    over its own symbol — interchangeable once symbols are renameable."""
+    atoms = frozenset(
+        Atom(f"r{i}", (Variable(f"A{i}"), Variable(f"B{i}")))
+        for i in range(k)
+    )
+    return ConjunctiveQuery(atoms, frozenset(), name=f"parallel{k}")
+
+
+def disjoint_triangles_query(k: int) -> ConjunctiveQuery:
+    """k vertex-disjoint directed triangles over ``edge``."""
+    atoms = []
+    for i in range(k):
+        x, y, z = (Variable(f"{name}{i}") for name in "XYZ")
+        atoms += [_edge_atom(x, y), _edge_atom(y, z), _edge_atom(z, x)]
+    return ConjunctiveQuery(frozenset(atoms), frozenset(),
+                            name=f"triangles{k}")
+
+
+def spider_query(legs: int) -> ConjunctiveQuery:
+    """``ans(C) :- edge(C, Xi), edge(Xi, Yi)`` for i < *legs*: a star
+    whose legs have length two."""
+    centre = Variable("C")
+    atoms = []
+    for i in range(legs):
+        x, y = Variable(f"X{i}"), Variable(f"Y{i}")
+        atoms += [_edge_atom(centre, x), _edge_atom(x, y)]
+    return ConjunctiveQuery(frozenset(atoms), frozenset({centre}),
+                            name=f"spider{legs}")
+
+
+def grid_query(side: int) -> ConjunctiveQuery:
+    """The undirected *side* x *side* grid (``edge`` both ways)."""
+    def node(i, j):
+        return Variable(f"G{i}_{j}")
+
+    atoms = []
+    for i in range(side):
+        for j in range(side):
+            for a, b in ((i, j + 1), (i + 1, j)):
+                if a < side and b < side:
+                    atoms += [_edge_atom(node(i, j), node(a, b)),
+                              _edge_atom(node(a, b), node(i, j))]
+    return ConjunctiveQuery(frozenset(atoms), frozenset(),
+                            name=f"grid{side}")
+
+
+#: name -> (constructor, sizes): shapes whose automorphism groups make
+#: individualization–refinement branch (the canonical labeller's tests
+#: and ``benchmarks/bench_canonical.py`` share them).
+SYMMETRIC_FAMILIES = {
+    "star": (star_query, (2, 4, 6, 8, 12, 16)),
+    "parallel": (parallel_edges_query, (2, 4, 8, 12)),
+    "triangles": (disjoint_triangles_query, (1, 2, 3, 4, 5)),
+    "spider": (spider_query, (3, 5, 7)),
+    "clique": (clique_query, (4, 6, 8)),
+    "grid": (grid_query, (3, 4)),
+    "cycle": (cycle_query, (4, 8, 12)),
+}
+
+
+# ----------------------------------------------------------------------
 # Random graphs
 # ----------------------------------------------------------------------
 def gnp_graph(n_nodes: int, edge_probability: float,

@@ -14,6 +14,7 @@ Three properties carry the whole design:
 from __future__ import annotations
 
 import random
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -196,9 +197,9 @@ class TestPlanCacheBehavior:
 
 
 class TestAutomorphismOrbitPruning:
-    """Sibling branches in one automorphism orbit are pruned (ISSUE 4):
-    symmetric queries stay far under the branch budget, and the pruned
-    search still lands on renaming-stable fingerprints."""
+    """Target-cell members in one automorphism orbit are pruned:
+    symmetric queries search a handful of leaves, and the pruned search
+    still lands on renaming-stable fingerprints."""
 
     @staticmethod
     def _symmetric_star(k):
@@ -208,45 +209,68 @@ class TestAutomorphismOrbitPruning:
         )
 
     def test_symmetric_star_stays_under_the_branch_budget(self):
-        from repro.query.canonical import (
-            CANONICAL_BRANCH_BUDGET,
-            last_search_stats,
-        )
-
-        query = self._symmetric_star(6)
-        fingerprint = query_fingerprint(query)
-        stats = last_search_stats()
-        # 6 interchangeable branches: the unpruned search floods the
-        # 256-ordering budget (6! = 720 consistent orderings); orbit
-        # pruning must leave most of the budget untouched.
-        assert stats["explored"] < CANONICAL_BRANCH_BUDGET // 2
+        # The labeller has no branch budget any more; the bound is
+        # explicit.  6 interchangeable branches have 6! = 720 consistent
+        # orderings; orbit pruning searches at most 2k leaves.
+        k = 6
+        query = self._symmetric_star(k)
+        form = canonical_form(query)
+        stats = form.search_stats
+        assert stats["explored"] <= 2 * k
         assert stats["pruned"] > 0
         assert stats["automorphisms"] > 0
         for seed in range(6):
             variant = random_renaming(query, seed=seed, rename_symbols=True)
-            assert query_fingerprint(variant) == fingerprint
+            assert query_fingerprint(variant) == form.fingerprint
 
     def test_interchangeable_atom_pairs_prune_too(self):
-        from repro.query.canonical import last_search_stats
-
         query = parse_query(
             "ans(A, B, C, D, E) :- e(A, B), e(B, C), e(C, D), e(D, E)"
         )
-        fingerprint = query_fingerprint(query)
-        path_stats = last_search_stats()
-        assert path_stats["explored"] >= 1
+        form = canonical_form(query)
+        assert form.search_stats["explored"] >= 1
         for seed in range(4):
             assert query_fingerprint(
                 random_renaming(query, seed=seed)
-            ) == fingerprint
+            ) == form.fingerprint
 
     def test_asymmetric_queries_explore_one_ordering(self):
-        from repro.query.canonical import last_search_stats
-
-        query_fingerprint(parse_query("ans(A, C) :- r(A, B), s(B, C)"))
-        stats = last_search_stats()
+        stats = canonical_form(
+            parse_query("ans(A, C) :- r(A, B), s(B, C)")
+        ).search_stats
         assert stats["explored"] == 1
         assert stats["pruned"] == 0
+
+    def test_search_stats_belong_to_each_form(self):
+        # Concurrent canonicalizations cannot overwrite each other's
+        # diagnostics: each form carries its own search's counts.
+        queries = [self._symmetric_star(6),
+                   parse_query("ans(A, C) :- r(A, B), s(B, C)")]
+        expected = [dict(canonical_form(q).search_stats) for q in queries]
+        assert expected[0]["explored"] > 1
+        assert expected[1]["explored"] == 1
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                forms = list(pool.map(
+                    lambda i: (i % 2, canonical_form(queries[i % 2])),
+                    range(200), timeout=60,
+                ))
+        finally:
+            sys.setswitchinterval(interval)
+        for which, form in forms:
+            assert form.search_stats == expected[which]
+
+    def test_plan_cache_sums_search_stats_over_misses(self):
+        cache = PlanCache()
+        query = self._symmetric_star(6)
+        expected = canonical_form(query).search_stats
+        cache.canonical(query)
+        cache.canonical(query)  # a memo hit searches nothing
+        stats = cache.stats()
+        assert stats["canonical_leaves"] == expected["explored"]
+        assert stats["canonical_pruned"] == expected["pruned"]
 
     def test_pruned_fingerprints_still_separate_shapes(self):
         # Stars of different fan-out must not collide after pruning.
