@@ -174,6 +174,8 @@ _HEADLINES = (
     ("reduced_speedup", ("reduced", "reduced_speedup")),
     ("compiled_speedup_geomean",
      ("compiled", "compiled_speedup_geomean")),
+    ("projected_path3_ad_ms",
+     ("compiled", "projected", "projected_path3_ad_ms")),
     ("columnar_speedup_geomean",
      ("columnar", "columnar_speedup_geomean")),
     ("deadline_within_fraction",
@@ -319,6 +321,15 @@ def main(argv=None) -> int:
             failures += 1
             print("[bench]   FAILED (compiled tier below the 5x bar)",
                   flush=True)
+        projected = snapshot["compiled"]["projected"]
+        print(f"[bench] compiled projected shapes: path3.AD "
+              f"{projected['projected_path3_ad_ms']} ms, "
+              f"{projected['path3_ad_emitted']} kernel emissions",
+              flush=True)
+        if not projected["meets_projected_emission_bar"]:
+            failures += 1
+            print("[bench]   FAILED (path3.AD kernel emissions above a "
+                  "third of the materialized bag)", flush=True)
         snapshot["columnar"] = columnar_snapshot()
         print(f"[bench] columnar: "
               f"{snapshot['columnar']['columnar_speedup_geomean']}x geomean "

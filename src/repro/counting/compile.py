@@ -50,6 +50,11 @@ object.  Execution itself never touches schemas:
   bounded by the AGM bound of every prefix, never by a pairwise
   intermediate — :func:`estimate_units` prices exactly this work for the
   deadline planner.
+* **Single-bag structural programs** never materialize their bag: it
+  is lowered *counted*, kept on the free variables, and the generic
+  join returns ``|pi_free(join)|`` directly, eliminating the other
+  variables by per-prefix set union (see :meth:`_LinkedBag.count`) — no
+  bag rows, no free projection, no DP pass.
 * Leaf bags never materialize count tables: the parent aggregates them
   directly with ``Counter(map(key_of, rows))``, which runs entirely in C.
 
@@ -79,9 +84,12 @@ from __future__ import annotations
 import gc
 import hashlib
 import math
+import weakref
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
+from itertools import repeat
 from operator import itemgetter
 from typing import (Dict, Hashable, Iterator, List, Optional, Sequence, Set,
                     Tuple)
@@ -226,6 +234,11 @@ class BagStep:
     ``covers[i]`` lists the fractional edge covers of the prefix
     ``0..i`` (the AGM bound's candidates, used for pricing only).
 
+    A ``counted`` bag (the one bag of a single-bag structural program)
+    is never materialized: the tuple path returns the number of its
+    distinct tuples over the ``free`` slots, which need not be a prefix
+    of the order, and ``kept`` is 0 (see :meth:`_LinkedBag.count`).
+
     The columnar rendition runs ``folds`` from scan ``start`` instead
     and lands on the bag schema through ``project_positions`` (``None``
     = already there).
@@ -240,6 +253,8 @@ class BagStep:
     kept: int = 0
     slots: Tuple[Tuple[int, ...], ...] = ()
     covers: Tuple[Tuple[Cover, ...], ...] = ()
+    counted: bool = False
+    free: Tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -502,6 +517,12 @@ def lower_structural(query: ConjunctiveQuery,
     projection could create phantom free-variable tuples — and none
     after, because globally consistent bags stay globally consistent
     under projection.
+
+    A single-bag decomposition needs neither: its count is
+    ``|pi_free(join of the bag's atoms)|``, so its bag is lowered
+    ``counted``, kept on the free variables alone — the kernel
+    eliminates the others inside the join (see :meth:`_LinkedBag.count`)
+    and the program has no projection and a one-vertex DP.
     """
     from .structural import host_core_atoms  # local import, avoids cycle
 
@@ -509,6 +530,7 @@ def lower_structural(query: ConjunctiveQuery,
     views = decomposition.views
     hosted = host_core_atoms(decomposition)
     free = query.free_variables
+    counted = len(tree.bags) == 1
     bag_schemas: List[Tuple[Variable, ...]] = []
     bags: List[BagStep] = []
     free_positions: List[Optional[Tuple[int, ...]]] = []
@@ -520,7 +542,8 @@ def lower_structural(query: ConjunctiveQuery,
         # deterministic).
         atoms = list(dict.fromkeys(
             list(views[view_name].source_atoms) + list(hosted[index])))
-        step, schema = _lower_bag(atoms, frozenset(bag))
+        keep = frozenset(bag) & free if counted else frozenset(bag)
+        step, schema = _lower_bag(atoms, keep, counted=counted)
         bags.append(step)
         bag_schemas.append(schema)
         projected = tuple(v for v in schema if v in free)
@@ -544,10 +567,11 @@ def lower_structural(query: ConjunctiveQuery,
     )
 
 
-def _lower_bag(atoms: Sequence, bag: frozenset
+def _lower_bag(atoms: Sequence, bag: frozenset, counted: bool = False
                ) -> Tuple[BagStep, Tuple[Variable, ...]]:
     """Lower ``pi_bag(atom_0 |><| ... |><| atom_n)``; returns the step
-    and the bag schema (the kept variables in variable order)."""
+    and the bag schema (the kept variables in variable order).  A
+    *counted* step computes only the schema's cardinality."""
     parts = [atom.variable_set for atom in atoms]
     # A scan keeps the bag's variables and those it shares with another
     # part; a variable private to one atom is projected inside the scan.
@@ -557,7 +581,7 @@ def _lower_bag(atoms: Sequence, bag: frozenset
                                if o != part_index))
         needed.append(frozenset(v for v in variables
                                 if v in bag or v in others))
-    order = _variable_order(needed, bag)
+    order = _variable_order(needed, bag, counted)
     missing = bag - set(order)
     if missing:  # pragma: no cover - a view covers its bag (Def. 1.4)
         raise QueryError(
@@ -565,17 +589,21 @@ def _lower_bag(atoms: Sequence, bag: frozenset
             "covered by no atom"
         )
     slot = {v: i for i, v in enumerate(order)}
-    kept = len(bag)
     scan_schemas = [tuple(sorted(variables, key=slot.__getitem__))
                     for variables in needed]
     scans = tuple(_scan_for_atom(atom, schema)
                   for atom, schema in zip(atoms, scan_schemas))
     slots = tuple(tuple(slot[v] for v in schema) for schema in scan_schemas)
-    schema = order[:kept]
+    schema = tuple(v for v in order if v in bag)
     names = tuple(v.name for v in order)
+    if counted:
+        layout = dict(kept=0, counted=True,
+                      free=tuple(slot[v] for v in schema))
+    else:
+        layout = dict(kept=len(bag))
     if len(atoms) == 1:
         return BagStep(scans=scans, intersect=False, variables=names,
-                       kept=kept, slots=slots), schema
+                       slots=slots, **layout), schema
     start, folds, folded = _lower_bag_join(scan_schemas, bag)
     project = None
     if folded != schema:
@@ -588,22 +616,26 @@ def _lower_bag(atoms: Sequence, bag: frozenset
         folds=folds,
         project_positions=project,
         variables=names,
-        kept=kept,
         slots=slots,
         covers=tuple(_prefix_covers(slots, width)
                      for width in range(1, len(order) + 1)),
+        **layout,
     ), schema
 
 
-def _variable_order(parts: Sequence[frozenset],
-                    bag: frozenset) -> Tuple[Variable, ...]:
+def _variable_order(parts: Sequence[frozenset], bag: frozenset,
+                    counted: bool = False) -> Tuple[Variable, ...]:
     """The generic join's variable order: the bag's variables first,
     then the projected-away ones.  Within each group, greedily bind the
     variable that the most already-touched parts cover (so it is probed
     through bound prefixes, not enumerated from a whole column), then
     the one the most parts cover, then one the same parts cover as the
     variable just bound (so such runs form one level, see
-    :func:`_levels`); names break ties deterministically."""
+    :func:`_levels`); names break ties deterministically.
+
+    A *counted* bag orders all its variables as one group, by linkage
+    first and then kept before projected-away, so a projected-away
+    variable that links a kept one to the bound prefix precedes it."""
     order: List[Variable] = []
     bound: Set[Variable] = set()
     previous: Tuple[int, ...] = ()
@@ -612,14 +644,16 @@ def _variable_order(parts: Sequence[frozenset],
     def covering(variable) -> Tuple[int, ...]:
         return tuple(i for i, part in enumerate(parts) if variable in part)
 
-    for group in (everything & bag, everything - bag):
+    groups = ((everything,) if counted
+              else (everything & bag, everything - bag))
+    for group in groups:
         remaining = set(group)
         while remaining:
             def rank(variable):
                 scans = covering(variable)
                 linked = sum(1 for i in scans if parts[i] & bound)
-                return (-linked, -len(scans), scans != previous,
-                        variable.name)
+                return (-linked, variable not in bag, -len(scans),
+                        scans != previous, variable.name)
 
             pick = min(remaining, key=rank)
             order.append(pick)
@@ -751,8 +785,10 @@ def count_kernel_ops() -> Iterator[Dict[str, int]]:
     Yields a dict keyed like :data:`KERNEL_UNITS`: scan rows inserted
     into the per-count indexes (one per row and level), probes (index
     lookups plus per-count level sets consulted), elements the C-level
-    ``set`` intersections examine, and emitted bag rows.  Meant for
-    tests: the planner's price of a program must cover these counts.
+    ``set`` intersections examine (and a counted bag's unions add), and
+    emitted bag rows (a counted bag's set insertions, one per union).
+    Meant for tests: the planner's price of a program must cover these
+    counts.
     While it is active the kernel runs its generic, counting probe at
     every level; otherwise it runs specialized probes with no
     accounting at all.
@@ -806,15 +842,21 @@ def _trie(rows, cuts: Tuple[int, ...]) -> tuple:
     return tuple(levels)
 
 
+def _kept_slots(bag: BagStep) -> frozenset:
+    """The slots of *bag*'s kept variables."""
+    return frozenset(bag.free if bag.counted else range(bag.kept))
+
+
 def _levels(bag: BagStep) -> List[Tuple[int, int, tuple]]:
     """The generic join's levels: maximal runs ``[start, end)`` of
-    consecutive slots that the same scans cover, never straddling the
-    kept boundary, each with its ``(scan, depth, first column)``
+    consecutive slots that the same scans cover, either all kept or all
+    projected away, each with its ``(scan, depth, first column)``
     entries — the run is that scan's ``depth``-th level, occupying its
     columns from ``first`` on.  Binding a run at once keeps a scan's
     private columns (a fact table's payload, say) off the per-variable
     recursion."""
     width = len(bag.variables)
+    kept = _kept_slots(bag)
     covered: List[List[int]] = [[] for _ in range(width)]
     for scan, scan_slots in enumerate(bag.slots):
         for slot in scan_slots:
@@ -823,7 +865,7 @@ def _levels(bag: BagStep) -> List[Tuple[int, int, tuple]]:
     depths = [0] * len(bag.slots)
     start = 0
     for slot in range(1, width + 1):
-        if slot < width and slot != bag.kept and \
+        if slot < width and (slot in kept) == (start in kept) and \
                 covered[slot] == covered[start]:
             continue
         entries = []
@@ -905,10 +947,16 @@ class _LinkedBag:
     Multi-part bags run the generic join over :func:`_levels`: per
     level, the scans that reach it with a bound prefix are probed by key
     (``keyed``), and the scans whose first level it is contribute their
-    level-0 set (``unkeyed``, intersected once per count).
+    level-0 set (``unkeyed``, intersected once per count).  A counted
+    bag's ``plan`` is ``(prefix, final, key_of, direct)``: its leading
+    run of kept levels, its last kept level (-1: none), the extractor
+    of the kept columns bound between them (``None``: no such column),
+    and the ``(scan, depth)`` index that answers the last level from a
+    bare candidate of the level before (``None``: no such index).
     """
 
-    __slots__ = ("scans", "mode", "cuts", "kept", "levels", "wide")
+    __slots__ = ("scans", "mode", "cuts", "kept", "levels", "wide",
+                 "plan")
 
     def __init__(self, bag: BagStep):
         self.scans = tuple(_LinkedScan(scan) for scan in bag.scans)
@@ -933,6 +981,30 @@ class _LinkedBag:
             for _start, _end, entries in levels
         )
         self.wide = tuple(end - start > 1 for start, end, _ in levels)
+        self.plan = None
+        if bag.counted:
+            kept = [start in bag.free for start, _end, _ in levels]
+            prefix = kept.index(False) if False in kept else len(kept)
+            final = len(kept) - 1 - kept[::-1].index(True) \
+                if True in kept else -1
+            between: Tuple[int, ...] = ()
+            if prefix < final:
+                low, high = levels[prefix][0], levels[final][0]
+                between = tuple(s for s in bag.free if low <= s < high)
+            # The last level may be probed with bare candidates when it
+            # is the only level kept after the prefix, is the last one,
+            # and only one scan covers it, keyed by the one-column level
+            # just before it.
+            direct = None
+            if 0 < final == len(levels) - 1 and not between:
+                keyed, unkeyed = self.levels[final]
+                start, end, _ = levels[final - 1]
+                if len(keyed) == 1 and not unkeyed and end - start == 1:
+                    scan, depth, _key = keyed[0]
+                    if bag.slots[scan][:self.cuts[scan][depth]] == (start,):
+                        direct = (scan, depth)
+            self.plan = (prefix, final,
+                         _row_getter(between) if between else None, direct)
 
     def rows(self, database: Database) -> set:
         if self.mode == "scan":
@@ -944,31 +1016,29 @@ class _LinkedBag:
                     return first
                 first &= scan.rows(database)
             return first
-        # The join allocates its indexes and rows in bulk, and none of
-        # them can form a reference cycle.  With the cyclic collector
-        # running mid-join those short-lived containers survive into the
-        # oldest generation and trigger full collections (100+ ms pauses
-        # on a large heap), so it is paused for the join.
-        if not gc.isenabled():
-            return self._join(database)
-        gc.disable()
-        try:
-            return self._join(database)
-        finally:
-            gc.enable()
+        return _collector_paused(self._join, database)
 
-    def _join(self, database: Database) -> set:
+    def count(self, database: Database) -> int:
+        """``|pi_kept(bag)|`` of a counted bag, without materializing it."""
+        if self.mode == "scan":  # the scan already projects onto the kept
+            return len(self.scans[0].rows(database))
+        return _collector_paused(self._count, database)
+
+    def _probes(self, database: Database) -> Optional[tuple]:
+        """``(tries, probes)``: each scan's per-count index and each
+        level's candidate-set function over them, or ``None`` when some
+        scan (or level-0 intersection) is empty."""
         ops = _KERNEL_OPS
         tries = []
         for scan, cuts in zip(self.scans, self.cuts):
             if len(cuts) == 1:  # a ground atom: a filter, no levels
                 if not scan.rows(database):
-                    return set()
+                    return None
                 tries.append(None)
                 continue
             indexed, trie = scan.trie(database, cuts)
             if trie is None:
-                return set()
+                return None
             tries.append(trie)
             if ops is not None:
                 ops["inserts"] += indexed * (len(cuts) - 1)
@@ -987,36 +1057,29 @@ class _LinkedBag:
                     ops["intersected"] += min(len(fixed), len(found))
                 fixed = fixed & found
             if fixed is not None and not fixed:
-                return set()
+                return None
             probes.append(_probe(
                 [(tries[scan][depth], key) for scan, depth, key in keyed],
                 fixed, ops))
+        return tries, probes
+
+    def _join(self, database: Database) -> set:
+        resolved = self._probes(database)
+        if resolved is None:
+            return set()
+        _tries, probes = resolved
         kept = self.kept
         last = len(probes) - 1
         wide = self.wide
+        witness = partial(_witness, probes, wide, last)
         out: set = set()
         add = out.add
-
-        def witness(level: int, binding: tuple) -> bool:
-            found = probes[level](binding)
-            if not found:
-                return False
-            if level == last:
-                return True
-            if wide[level]:
-                rows = [binding + value for value in found]
-            else:
-                rows = [binding + (value,) for value in found]
-            return any(witness(level + 1, row) for row in rows)
 
         def expand(level: int, binding: tuple) -> None:
             found = probes[level](binding)
             if not found:
                 return
-            if wide[level]:
-                rows = [binding + value for value in found]
-            else:
-                rows = [binding + (value,) for value in found]
+            rows = _extend(binding, found, wide[level])
             following = level + 1
             if following == kept:
                 if kept > last:
@@ -1044,9 +1107,175 @@ class _LinkedBag:
             expand(0, ())
         elif last < 0 or witness(0, ()):
             add(())
+        # Break the recursive closure's cycle, so the per-count indexes
+        # it holds are freed here, not by a later collection.
+        del expand
+        ops = _KERNEL_OPS
         if ops is not None:
             ops["emitted"] += len(out)
         return out
+
+    def _count(self, database: Database) -> int:
+        """Count the distinct kept tuples: the generic join, with the
+        projected-away variables eliminated by set union.
+
+        Each binding of the leading kept levels (the *prefix*) owns one
+        set of the distinct tuples its extensions take on the remaining
+        kept levels; the answer is the sum of their sizes, and distinct
+        prefixes never share a tuple.  Projected-away levels before the
+        last kept level are enumerated, each of their bindings adding
+        its candidates to the prefix's set — a C-level union when only
+        the last level is kept after the prefix.  Projected-away levels
+        after it only look for a witness, skipped for tuples the set
+        already holds.  When every kept level is in the prefix there is
+        no set: the last level's candidates are counted, or each prefix
+        binding with a witness counts once.
+        """
+        resolved = self._probes(database)
+        if resolved is None:
+            return 0
+        tries, probes = resolved
+        ops = _KERNEL_OPS
+        prefix, final, key_of, direct = self.plan
+        last = len(probes) - 1
+        wide = self.wide
+        # Recursive helpers are partials of module functions, never
+        # self-referencing closures: nothing here forms a cycle, so the
+        # per-count indexes die on return, not in a later collection.
+        witness = partial(_witness, probes, wide, last)
+        over = partial(_over, probes, wide)
+
+        if final < 0:  # no kept variable: is there any witness?
+            return 1 if last < 0 or witness(0, ()) else 0
+        probe = probes[final]
+        before = wide[final - 1] if final else False
+        if direct is not None and ops is None:
+            # The last level is one scan keyed by the level before it:
+            # probe its index with the bare candidates, no bindings.
+            scan, depth = direct
+            get = tries[scan][depth].get
+
+            def candidates(binding, found):
+                return filter(None, map(get, found))
+        else:
+            def candidates(binding, found):
+                return filter(None, map(
+                    probe, _extend(binding, found, before)))
+
+        if prefix > final:  # every kept level is in the prefix
+            if final == last:
+                if last == 0:
+                    return len(probe(()) or ())
+                return over(0, (), last, lambda binding, found: sum(
+                    map(len, candidates(binding, found))))
+            following = final + 1
+            return over(0, (), following, lambda binding, found: sum(map(
+                witness, repeat(following),
+                _extend(binding, found, wide[final]))))
+
+        extends = wide[final]
+
+        def fill(acc: set, binding: tuple, found) -> int:
+            """Add the kept tuples reached through the level-``final - 1``
+            candidates *found* (extending *binding*) to *acc*."""
+            if key_of is None and final == last:
+                sets = candidates(binding, found)
+                if ops is not None:
+                    sets = list(sets)
+                    ops["emitted"] += len(sets)
+                    ops["intersected"] += sum(map(len, sets))
+                acc.update(*sets)
+                return 0
+            for row in _extend(binding, found, before):
+                more = probe(row)
+                if not more:
+                    continue
+                head = None if key_of is None else key_of(row)
+                if final == last:
+                    items = ([head + value for value in more] if extends
+                             else [head + (value,) for value in more])
+                    if ops is not None:
+                        ops["emitted"] += 1
+                        ops["intersected"] += len(items)
+                    acc.update(items)
+                    continue
+                for value in more:
+                    if head is None:
+                        item = value
+                    else:
+                        item = head + value if extends else head + (value,)
+                    if item not in acc and witness(
+                            final + 1,
+                            row + value if extends else row + (value,)):
+                        acc.add(item)
+                        if ops is not None:
+                            ops["emitted"] += 1
+            return 0
+
+        def distinct(binding: tuple) -> int:
+            acc: set = set()
+            over(prefix, binding, final,
+                 lambda bound, found: fill(acc, bound, found))
+            return len(acc)
+
+        if prefix == 0:
+            return distinct(())
+        return over(0, (), prefix, lambda binding, found: sum(map(
+            distinct, _extend(binding, found, wide[prefix - 1]))))
+
+
+def _collector_paused(run, database: Database):
+    """``run(database)`` with the cyclic garbage collector paused.
+
+    The generic join allocates its indexes and rows in bulk, and none
+    of them can form a reference cycle.  With the collector running
+    mid-join those short-lived containers survive into the oldest
+    generation and trigger full collections (100+ ms pauses on a large
+    heap)."""
+    if not gc.isenabled():
+        return run(database)
+    gc.disable()
+    try:
+        return run(database)
+    finally:
+        gc.enable()
+
+
+def _extend(binding: tuple, found, wide: bool) -> list:
+    """*binding* extended by each candidate of a level (a wide level's
+    candidates are tuples of its columns)."""
+    if wide:
+        return [binding + value for value in found]
+    return [binding + (value,) for value in found]
+
+
+def _witness(probes: Sequence, wide: Sequence[bool], last: int,
+             level: int, binding: tuple) -> bool:
+    """Does *binding* extend through every level from *level* to
+    *last*?  Stops at the first complete extension."""
+    found = probes[level](binding)
+    if not found:
+        return False
+    if level == last:
+        return True
+    return any(_witness(probes, wide, last, level + 1, row)
+               for row in _extend(binding, found, wide[level]))
+
+
+def _over(probes: Sequence, wide: Sequence[bool], level: int,
+          binding: tuple, depth: int, visit) -> int:
+    """Sum ``visit(binding, candidates)`` over the bindings of the levels
+    before ``depth - 1`` that extend *binding* (from *level* on)."""
+    found = probes[level](binding)
+    if not found:
+        return 0
+    following = level + 1
+    if following == depth:
+        return visit(binding, found)
+    total = 0
+    for row in _extend(binding, found, wide[level]):
+        total += _over(probes, wide, following, row, depth, visit)
+    return total
 
 
 #: Count bounds must stay well inside int64 for the vectorized DP.
@@ -1274,12 +1503,14 @@ class _Executable:
     """
 
     __slots__ = ("program", "_bags", "_reducer", "_free", "_dp",
-                 "_columnar")
+                 "_columnar", "_counted")
 
     def __init__(self, program: CompiledProgram):
         self.program = program
         self._columnar = None  # built on first qualifying count
         self._bags = tuple(_LinkedBag(bag) for bag in program.bags)
+        # A counted bag is the whole program: no reducer, one DP root.
+        self._counted = program.bags[0].counted if program.bags else False
         self._reducer = (CompiledReducer.from_steps(program.reducer)
                          if _has_reduction(program) else None)
         self._free = tuple(
@@ -1313,6 +1544,8 @@ class _Executable:
         return self._tuple_count(database)
 
     def _tuple_count(self, database: Database) -> int:
+        if self._counted:
+            return self._bags[0].count(database)
         bag_rows: List[set] = []
         for bag in self._bags:
             rows = bag.rows(database)
@@ -1443,8 +1676,19 @@ def estimate_units(program: CompiledProgram, database: Database) -> float:
 
 def _join_estimate(bag: BagStep, database: Database,
                    sizes: Sequence[int]) -> Tuple[float, float]:
-    """``(units, bag row bound)`` of one generic-join bag."""
+    """``(units, bag row bound)`` of one generic-join bag.
+
+    A counted bag emits no rows.  When a projected-away level precedes
+    its last kept level, its set insertions and the elements its unions
+    add are each bounded by the bindings of that last kept level (one
+    insertion or union per non-empty candidate set there); otherwise it
+    builds no set at all.
+    """
     levels = _levels(bag)
+    kept = _kept_slots(bag)
+    kept_levels = [index for index, (start, _end, _) in enumerate(levels)
+                   if start in kept]
+    unions = bag.counted and kept_levels != list(range(len(kept_levels)))
     depths = [0] * len(bag.scans)
     for _start, _end, entries in levels:
         for scan, _depth, _first in entries:
@@ -1454,7 +1698,8 @@ def _join_estimate(bag: BagStep, database: Database,
         return KERNEL_UNITS["inserts"] * inserts, 0.0
     stats = [database[scan.relation].statistics() for scan in bag.scans]
     probes = intersected = 0.0
-    bindings = rows = 1.0
+    bindings = 1.0
+    rows = 0.0 if bag.counted else 1.0
     for level, (start, end, entries) in enumerate(levels):
         bounds = []
         starts = []
@@ -1475,8 +1720,10 @@ def _join_estimate(bag: BagStep, database: Database,
         intersected += bindings * (sets - 1) * smallest
         bindings = min(bindings * smallest,
                        _agm_bound(bag.covers[end - 1], sizes))
-        if end == bag.kept:
+        if end == bag.kept or (unions and level == kept_levels[-1]):
             rows = bindings
+    if unions:
+        intersected += rows
     work = (KERNEL_UNITS["inserts"] * inserts
             + KERNEL_UNITS["probes"] * probes
             + KERNEL_UNITS["intersected"] * intersected
@@ -1552,13 +1799,22 @@ def _columnar_supported(bags: Sequence[BagStep], database: Database) -> bool:
 
 def describe_bags(program: CompiledProgram) -> List[Dict[str, object]]:
     """Per bag: its tuple-path kernel and, for generic joins, the
-    variable order (kept variables, then witness-only ones)."""
+    variable order — kept variables, then witness-only ones; a counted
+    bag's whole order and the projected-away variables its kernel
+    eliminates by union (those bound before its last kept variable)."""
     described: List[Dict[str, object]] = []
     for bag in program.bags:
         if bag.intersect:
             entry: Dict[str, object] = {"kernel": "intersect"}
         elif len(bag.scans) == 1:
             entry = {"kernel": "scan"}
+        elif bag.counted:
+            final = max(bag.free, default=-1)
+            entry = {"kernel": "generic_join",
+                     "order": list(bag.variables),
+                     "eliminated": [
+                         name for slot, name in enumerate(bag.variables)
+                         if slot < final and slot not in bag.free]}
         else:
             entry = {"kernel": "generic_join",
                      "order": list(bag.variables[:bag.kept]),
@@ -1574,21 +1830,40 @@ def describe_bags(program: CompiledProgram) -> List[Dict[str, object]]:
 _LINKED: Dict[str, _Executable] = {}
 
 
+#: Program objects whose digest :func:`link` has verified, by identity:
+#: ``id -> (weak reference, executable)``.  Programs are frozen
+#: dataclasses of tuples, so a verified object stays valid; an entry
+#: leaves with its program, before the id can be reused.
+_VERIFIED: Dict[int, Tuple[weakref.ref, _Executable]] = {}
+
+
 def link(program: CompiledProgram) -> _Executable:
     """Resolve *program* into an executable, verifying its digest.
 
     Raises :class:`~repro.decomposition.serialize.
     PlanSerializationError` when the stored digest does not match the
-    program body — a corrupted artifact must never execute.
+    program body — a corrupted artifact must never execute.  Each
+    program object is verified on its first link only: re-rendering
+    and hashing the whole description cost a warm count several
+    percent.
     """
+    key = id(program)
+    entry = _VERIFIED.get(key)
+    if entry is not None and entry[0]() is program:
+        return entry[1]
     if program_digest(program) != program.digest:
         from ..decomposition.serialize import PlanSerializationError
         raise PlanSerializationError(
             "compiled program digest mismatch — artifact corrupted"
         )
     executable = _LINKED.get(program.digest)
-    if executable is not None:
-        return executable
-    executable = _Executable(program)
-    _LINKED[program.digest] = executable
+    if executable is None:
+        executable = _Executable(program)
+        _LINKED[program.digest] = executable
+
+    def forget(reference, key=key, verified=_VERIFIED):
+        if verified.get(key, (None,))[0] is reference:
+            del verified[key]
+
+    _VERIFIED[key] = (weakref.ref(program, forget), executable)
     return executable

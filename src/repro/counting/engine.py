@@ -55,10 +55,12 @@ from __future__ import annotations
 
 import hashlib
 import math
+import struct
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from itertools import chain
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from ..approx.montecarlo import monte_carlo_count
 from ..db.database import Database
@@ -367,21 +369,40 @@ def _compiled_estimate(ctx: StrategyContext) -> float:
     return estimate_units(program, ctx.database)
 
 
+#: The compiled runner's details per ``(program digest, artifact
+#: cached)``: a function of the program alone, so every result of a
+#: cached plan shares one dict (results never mutate their runner's
+#: details, see :class:`_Decision`).  Cleared when it grows past
+#: :data:`_COMPILED_DETAILS_LIMIT` entries.
+_COMPILED_DETAILS: Dict[Tuple[str, bool], Dict[str, object]] = {}
+_COMPILED_DETAILS_LIMIT = 4096
+
+
+def _compiled_details(program, artifact_cached: bool) -> Dict[str, object]:
+    key = (program.digest, artifact_cached)
+    details = _COMPILED_DETAILS.get(key)
+    if details is None:
+        details = {
+            "compiled": True,
+            "compiled_kind": program.kind,
+            "artifact_cached": artifact_cached,
+            "bags": len(program.bags),
+            "bag_kernels": describe_bags(program),
+        }
+        if program.width is not None:
+            details["width"] = program.width
+        if len(_COMPILED_DETAILS) >= _COMPILED_DETAILS_LIMIT:
+            _COMPILED_DETAILS.clear()
+        _COMPILED_DETAILS[key] = details
+    return details
+
+
 def _compiled_run(ctx: StrategyContext, witness: object
                   ) -> Tuple[int, Dict[str, object]]:
     program, artifact_cached = witness
     executable = link(program)
     count = executable.count(ctx.database)
-    details: Dict[str, object] = {
-        "compiled": True,
-        "compiled_kind": program.kind,
-        "artifact_cached": artifact_cached,
-        "bags": len(program.bags),
-        "bag_kernels": describe_bags(program),
-    }
-    if program.width is not None:
-        details["width"] = program.width
-    return count, details
+    return count, _compiled_details(program, artifact_cached)
 
 
 def _compiled_failure(ctx: StrategyContext) -> Exception:
@@ -692,13 +713,61 @@ register_strategy("approx", _approx_applicable, _approx_estimate,
 # ----------------------------------------------------------------------
 # Results
 # ----------------------------------------------------------------------
-@dataclass(slots=True)
 class CountResult:
-    """Outcome of a counting run: the count plus the decision trail."""
+    """Outcome of a counting run: the count plus the decision trail.
 
-    count: int
-    strategy: str
-    details: Dict[str, object] = field(default_factory=dict)
+    ``CountResult(count, strategy, details)`` holds *details* as given.
+    Results of :func:`count_answers` keep the engine's decision as
+    compact data instead (a :class:`_Decision`) and render
+    :attr:`details` — a plain JSON-serializable dict — on first read:
+    results are kept by the thousand (batch outputs, stream replays,
+    benchmark logs), and most are never inspected.
+    """
+
+    __slots__ = ("count", "strategy", "_details", "_decision")
+
+    def __init__(self, count: int, strategy: str,
+                 details: Optional[Dict[str, object]] = None):
+        self.count = count
+        self.strategy = strategy
+        self._details = {} if details is None else details
+        self._decision: Optional[_Decision] = None
+
+    @classmethod
+    def _decided(cls, count: int, strategy: str,
+                 decision: "_Decision") -> "CountResult":
+        result = cls(count, strategy)
+        result._details = None
+        result._decision = decision
+        return result
+
+    @property
+    def details(self) -> Dict[str, object]:
+        """The decision trail and strategy details (rendered once)."""
+        if self._details is None:
+            self._details = self._decision.render()
+            self._decision = None
+        return self._details
+
+    @details.setter
+    def details(self, value: Dict[str, object]) -> None:
+        self._details = value
+        self._decision = None
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CountResult):
+            return NotImplemented
+        return ((self.count, self.strategy, self.details)
+                == (other.count, other.strategy, other.details))
+
+    __hash__ = None  # details stay mutable (the service labels them)
+
+    def __repr__(self) -> str:
+        return (f"CountResult(count={self.count!r}, "
+                f"strategy={self.strategy!r}, details={self.details!r})")
+
+    def __reduce__(self):
+        return (CountResult, (self.count, self.strategy, self.details))
 
     def __int__(self) -> int:
         return self.count
@@ -775,34 +844,111 @@ def _json_safe(value):
 def _render_bag(bag: Dict[str, object], names: Dict[str, str]) -> str:
     """One :func:`~repro.counting.compile.describe_bags` entry in the
     caller's variable names."""
+    def spelled(key: str) -> str:
+        return ", ".join(names.get(name, name) for name in bag[key])
+
     text = f"{bag['kernel']} over {bag['scans']} scan(s)"
     if "order" in bag:
-        text += ", order " + (", ".join(
-            names.get(name, name) for name in bag["order"]) or "-")
-        if bag["witness"]:
-            text += " | witness " + ", ".join(
-                names.get(name, name) for name in bag["witness"])
+        text += ", order " + (spelled("order") or "-")
+        if bag.get("witness"):
+            text += " | witness " + spelled("witness")
+        if bag.get("eliminated"):
+            text += " | union-eliminated " + spelled("eliminated")
     return text
 
 
-def _presentable_details(details: Dict[str, object],
-                         form: CanonicalForm) -> Dict[str, object]:
-    """Details in user space: canonical variable names translated back to
-    the caller's names, everything coerced to plain JSON data, and the
-    plan fingerprint recorded."""
-    details = dict(details)
-    names = form.original_variable_names()
-    if "pseudo_free" in details:
-        details["pseudo_free"] = sorted(
-            names.get(name, name) for name in details["pseudo_free"]
-        )
-    if "bag_kernels" in details:
-        # One compact string per result: results are kept by the
-        # thousand (batch outputs, stream replays).
-        details["bag_kernels"] = "; ".join(
-            _render_bag(bag, names) for bag in details["bag_kernels"])
-    details["plan_fingerprint"] = form.digest
-    return _json_safe(details)
+#: Trail flags, one byte per ranked strategy: probed, chosen, and the
+#: index of the skip reason in :data:`_SKIPPED` from bit 2 up.
+_PROBED, _CHOSEN, _SKIP_SHIFT = 1, 2, 2
+_SKIPPED = (None, "held back as deadline fallback",
+            "observed deadline overrun", "predicted deadline overrun")
+
+#: Interned strategy rankings: the registry yields a handful of
+#: distinct orders, so results share one tuple per order.
+_RANKINGS: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
+
+
+class _Decision:
+    """What :func:`count_answers` decided, kept as compact data until
+    :meth:`CountResult.details` renders it.
+
+    ``runner`` is the winning strategy's details dict (never mutated —
+    the compiled runner's is shared by every result of a program);
+    ``names`` flattens the canonical -> caller variable names
+    (``None`` when no detail mentions a variable); an auto decision
+    carries the cost ranking, its estimates (packed doubles when every
+    estimate is a float) and one flag byte per strategy.
+    """
+
+    __slots__ = ("runner", "names", "digest", "ranking", "costs",
+                 "flags", "seconds", "deadline_ms", "budget")
+
+    def __init__(self, runner: Dict[str, object], form: CanonicalForm,
+                 deadline_ms: Optional[float],
+                 ranking: Optional[Tuple[str, ...]] = None,
+                 costs: Sequence[float] = (), flags: bytes = b"",
+                 seconds: Optional[float] = None,
+                 budget: Optional[float] = None):
+        self.runner = runner
+        self.names = None
+        if "bag_kernels" in runner or "pseudo_free" in runner:
+            self.names = tuple(chain.from_iterable(
+                form.original_variable_names().items()))
+        self.digest = form.digest
+        self.deadline_ms = deadline_ms
+        if ranking is not None:
+            shared = _RANKINGS.get(ranking)
+            if shared is None and len(_RANKINGS) < 256:
+                _RANKINGS[ranking] = ranking
+            ranking = shared or ranking
+            costs = (struct.pack(f"{len(costs)}d", *costs)
+                     if all(type(cost) is float for cost in costs)
+                     else tuple(costs))
+        self.ranking = ranking
+        self.costs = costs
+        self.flags = bytes(flags)
+        self.seconds = seconds
+        self.budget = budget
+
+    def render(self) -> Dict[str, object]:
+        """The details dict, exactly as the engine always reported it."""
+        details = dict(self.runner)
+        if self.ranking is not None:
+            costs = self.costs
+            if isinstance(costs, bytes):
+                costs = struct.unpack(f"{len(self.ranking)}d", costs)
+            trail = []
+            for name, cost, flag in zip(self.ranking, costs, self.flags):
+                entry: Dict[str, object] = {
+                    "strategy": name,
+                    "estimated_cost": cost,
+                    "probed": bool(flag & _PROBED),
+                    "chosen": bool(flag & _CHOSEN),
+                }
+                if flag >> _SKIP_SHIFT:
+                    entry["skipped"] = _SKIPPED[flag >> _SKIP_SHIFT]
+                trail.append(entry)
+            details["decision_trail"] = trail
+            details["estimated_cost"] = next(
+                cost for cost, flag in zip(costs, self.flags)
+                if flag & _CHOSEN)
+            details["actual_seconds"] = self.seconds
+        if self.deadline_ms is not None:
+            details["deadline_ms"] = self.deadline_ms
+            if self.ranking is not None:
+                details["cost_budget_units"] = self.budget
+        names = {} if self.names is None else dict(
+            zip(self.names[::2], self.names[1::2]))
+        if "pseudo_free" in details:
+            details["pseudo_free"] = sorted(
+                names.get(name, name) for name in details["pseudo_free"]
+            )
+        if "bag_kernels" in details:
+            # One compact string per result.
+            details["bag_kernels"] = "; ".join(
+                _render_bag(bag, names) for bag in details["bag_kernels"])
+        details["plan_fingerprint"] = self.digest
+        return _json_safe(details)
 
 
 def count_answers(query: ConjunctiveQuery, database: Database,
@@ -873,16 +1019,15 @@ def count_answers(query: ConjunctiveQuery, database: Database,
         if witness is None:
             raise strategy.failure(context)
         count, details = strategy.runner(context, witness)
-        details = dict(details)
-        if deadline_ms is not None:
-            details["deadline_ms"] = deadline_ms
-        return CountResult(count, method, _presentable_details(details, form))
+        return CountResult._decided(count, method,
+                                    _Decision(details, form, deadline_ms))
 
     # Cost-ranked auto selection: estimate every strategy from statistics
     # alone, then probe applicability cheapest-first and run the winner.
     # Under a deadline, exact strategies over the unit budget are skipped
     # and the approx tier is held back as the fallback — exact when
-    # possible, approximate when necessary.
+    # possible, approximate when necessary.  The trail is one flag byte
+    # per ranked strategy (see :class:`_Decision`).
     started_auto = time.perf_counter()
     budget_units = context.cost_budget_units()
     preference = {name: rank for rank, name in enumerate(_REGISTRY)}
@@ -894,47 +1039,39 @@ def count_answers(query: ConjunctiveQuery, database: Database,
         _REGISTRY.values(),
         key=lambda s: (estimates[s.name], preference[s.name]),
     )
-    trail: List[Dict[str, object]] = [
-        {
-            "strategy": strategy.name,
-            "estimated_cost": estimates[strategy.name],
-            "probed": False,
-            "chosen": False,
-        }
-        for strategy in ranked
-    ]
+    flags = bytearray(len(ranked))
+
+    def skip(position: int, reason: str) -> None:
+        flags[position] = _SKIPPED.index(reason) << _SKIP_SHIFT
 
     def run_winner(position: int, strategy: Strategy,
                    witness: object) -> CountResult:
-        trail[position]["chosen"] = True
+        # Chosen, and no longer skipped.
+        flags[position] = (flags[position] & _PROBED) | _CHOSEN
         started = time.perf_counter()
         count, details = strategy.runner(context, witness)
         elapsed = time.perf_counter() - started
-        details = dict(details)
-        details["decision_trail"] = trail
-        details["estimated_cost"] = trail[position]["estimated_cost"]
-        details["actual_seconds"] = elapsed
-        if deadline_ms is not None:
-            details["deadline_ms"] = deadline_ms
-            details["cost_budget_units"] = budget_units
-        return CountResult(count, strategy.name,
-                           _presentable_details(details, form))
+        decision = _Decision(
+            details, form, deadline_ms, tuple(s.name for s in ranked),
+            [estimates[s.name] for s in ranked], flags, elapsed,
+            budget_units)
+        return CountResult._decided(count, strategy.name, decision)
 
     for position, strategy in enumerate(ranked):
         if strategy.name == "approx":
             # The deadline fallback: only after every exact option is
             # ruled out — never preferred over an exact answer that fits.
-            trail[position]["skipped"] = "held back as deadline fallback"
+            skip(position, "held back as deadline fallback")
             continue
         if budget_units is not None:
             elapsed_ms = (time.perf_counter() - started_auto) * 1e3
             if elapsed_ms >= OBSERVED_OVERRUN_FRACTION * context.deadline_ms:
-                trail[position]["skipped"] = "observed deadline overrun"
+                skip(position, "observed deadline overrun")
                 continue
             if estimates[strategy.name] > budget_units:
-                trail[position]["skipped"] = "predicted deadline overrun"
+                skip(position, "predicted deadline overrun")
                 continue
-        trail[position]["probed"] = True
+        flags[position] |= _PROBED
         witness = strategy.applicability(context)
         if witness is None:
             continue
@@ -945,10 +1082,9 @@ def count_answers(query: ConjunctiveQuery, database: Database,
     for position, strategy in enumerate(ranked):
         if strategy.name != "approx":
             continue
-        trail[position]["probed"] = True
+        flags[position] |= _PROBED
         witness = strategy.applicability(context)
         if witness is not None:
-            trail[position].pop("skipped", None)
             return run_winner(position, strategy, witness)
 
     # No approx tier either (it was unregistered, or no deadline was
@@ -958,11 +1094,10 @@ def count_answers(query: ConjunctiveQuery, database: Database,
     for position, strategy in enumerate(ranked):
         if strategy.name == "approx":
             continue
-        trail[position]["probed"] = True
+        flags[position] |= _PROBED
         witness = strategy.applicability(context)
         if witness is None:
             continue
-        trail[position].pop("skipped", None)
         result = run_winner(position, strategy, witness)
         result.details["deadline_missed"] = True
         return result

@@ -14,6 +14,13 @@ from ..exceptions import ArityMismatchError
 
 Row = Tuple[Hashable, ...]
 
+#: How many aliases one relation's pool keeps besides the relation they
+#: derive from (see :meth:`Relation.renamed`): the least recently used
+#: one goes first.  The engine's canonical names are looked up on every
+#: count, so they stay; a caller that renames each request afresh no
+#: longer grows the pool without bound.
+ALIAS_POOL_LIMIT = 64
+
 
 class Relation:
     """A finite relation instance: a set of same-length tuples.
@@ -176,18 +183,30 @@ class Relation:
         This is what makes the engine's canonical-space execution (every
         call runs over shape-canonical relation symbols) essentially
         free: the canonical alias of a relation is one dict lookup and
-        its caches stay warm across calls and batches.
+        its caches stay warm across calls and batches.  The pool keeps
+        the :data:`ALIAS_POOL_LIMIT` most recently used aliases, plus
+        the relation they all derive from: renaming back to its name
+        yields it.
         """
         if name == self.name:
             return self
-        cached = self._renamed.get(name)
+        pool = self._renamed
+        if not pool:  # the origin comes first and is never moved
+            pool[self.name] = self
+        origin = next(iter(pool))
+        if name == origin:
+            return pool[origin]
+        cached = pool.pop(name, None)  # re-inserted as most recent
         if cached is None:
             cached = object.__new__(type(self))
             cached.name = name
             cached.arity = self.arity
             self._share_contents(cached)
-            self._renamed[name] = cached
-            self._renamed.setdefault(self.name, self)
+            if len(pool) > ALIAS_POOL_LIMIT:  # evict the oldest alias
+                names = iter(pool)
+                next(names)
+                del pool[next(names)]
+        pool[name] = cached
         return cached
 
     def _share_contents(self, alias: "Relation") -> None:

@@ -55,7 +55,12 @@ PLAN_FORMAT_VERSION = 1
 #: scan column slots, prefix edge covers) and drop hosted atoms their
 #: view already scans — version-1 artifacts lack the plan, so they are
 #: never looked up again.
-COMPILED_FORMAT_VERSION = 2
+#: Version 3: the bag of a single-bag structural program is lowered
+#: ``counted`` — kept on the free variables, with a linkage-first order
+#: in which a projected-away variable may precede a free one — and its
+#: kernel returns the count; a version-2 single bag kept every bag
+#: variable and was projected after the join.
+COMPILED_FORMAT_VERSION = 3
 
 #: Bump when the maintainer DP state changes incompatibly; stale
 #: checkpoints are then rejected and the DP is rebuilt from the database.

@@ -124,6 +124,54 @@ class TestLowering:
         with pytest.raises(PlanSerializationError):
             link(forged)
 
+    def test_link_verifies_each_program_object_once(self, monkeypatch):
+        """Relinking a verified program object skips the digest: the
+        plan cache hands every count the same object."""
+        from repro.counting import compile as compile_module
+
+        program = lower_acyclic(parse_query(
+            "ans(A, B, C, D) :- r(A, B), s(B, C), t(C, D)"))
+        calls = []
+
+        def counting_digest(target):
+            calls.append(target)
+            return program_digest(target)
+
+        monkeypatch.setattr(compile_module, "program_digest",
+                            counting_digest)
+        first = link(program)
+        assert link(program) is first and link(program) is first
+        assert calls == [program]
+        # An equal program is another object: verified on its first link.
+        twin = pickle.loads(pickle.dumps(program))
+        assert link(twin) is first
+        assert len(calls) == 2
+
+    def test_forged_twin_of_a_linked_program_is_rejected(self):
+        program = lower_acyclic(PATH)
+        link(program)
+        forged = dataclasses.replace(program, digest="f" * 64)
+        for _ in range(2):
+            with pytest.raises(PlanSerializationError):
+                link(forged)
+
+    def test_forged_artifact_loaded_from_a_plan_directory_is_rejected(
+            self, tmp_path):
+        """A forged digest inside a well-formed envelope loads — the
+        envelope checksum covers what was written — and is refused by
+        its first link."""
+        program = lower_acyclic(PATH)
+        link(program)
+        forged = dataclasses.replace(program, digest="0" * 64)
+        directory = str(tmp_path / "plans")
+        key = ("compiled", ("forged",), 3, COMPILED_FORMAT_VERSION)
+        PersistentPlanCache(directory).plan(key, lambda: forged)
+        loaded, cached = PersistentPlanCache(directory).plan(
+            key, lambda: pytest.fail("the artifact was not loaded"))
+        assert cached and loaded == forged and loaded is not forged
+        with pytest.raises(PlanSerializationError):
+            link(loaded)
+
     def test_tampered_steps_are_rejected(self):
         """Editing any step invalidates the digest over the program
         description, so a stale or doctored artifact never executes."""

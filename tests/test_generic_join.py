@@ -9,16 +9,22 @@ rendition keeps its pairwise fold schedule).  These tests pin down:
   quantified shapes with self joins, repeated variables inside one
   atom, constants, projected-away view variables, empty relations and
   disconnected parts;
+* a *counted* bag (the one bag of a single-bag program) counts the
+  distinct free tuples of the same corpus and of a hypothesis family of
+  projected paths, cycles and stars, agreeing with brute force and with
+  the columnar rendition of the same step;
 * whole counts agree with brute force, and the tuple path agrees with
   the columnar one;
-* lowering drops hosted atoms the view already scans;
+* lowering drops hosted atoms the view already scans, and orders a
+  counted bag by linkage with free variables winning ties;
 * the planner's price never undercuts the kernel's counted operations
   (so a deadline is never over-admitted on its account), and a bag
   whose exact count fits the deadline is answered exactly;
-* a compiled artifact of the previous format in a persistent cache
-  directory is never looked up, let alone executed;
-* ``explain`` shows each bag's kernel and variable order; importing the
-  engine does not import scipy.
+* compiled artifacts of the previous formats in a persistent cache
+  directory are never looked up, let alone executed;
+* ``explain`` shows each bag's kernel and variable order, and names the
+  variables a counted bag eliminates by union; importing the engine
+  does not import scipy.
 """
 
 from __future__ import annotations
@@ -30,14 +36,18 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.counting.brute_force import count_brute_force
 from repro.counting.compile import (
     KERNEL_UNITS,
+    _ColumnarBag,
     _LinkedBag,
     _join_estimate,
     _lower_bag,
     count_kernel_ops,
+    describe_bags,
     estimate_units,
     link,
     lower_structural,
@@ -230,6 +240,137 @@ class TestKernelSemantics:
             result = count_answers(query, database, plan_cache=PlanCache())
             assert result.count == count_brute_force(query, database)
 
+    def test_counted_bags_match_brute_force_and_columnar(self):
+        """Each whole query lowered as one counted bag kept on its free
+        variables counts ``|pi_free(homomorphisms)|`` — on the tuple
+        kernel, through every mode of :meth:`_LinkedBag.count`, and in
+        the columnar rendition of the same step."""
+        modes = set()
+        for query, database in CORPUS:
+            bag, schema = _lower_bag(sorted(query.atoms, key=repr),
+                                     query.free_variables, counted=True)
+            expected = _projected_count(query, database)
+            linked = _LinkedBag(bag)
+            assert linked.count(database) == expected, query
+            columnar = database.with_backend("columnar")
+            assert _ColumnarBag(bag).frame(columnar).n == expected, query
+            modes.add(_count_mode(linked))
+        assert modes == {"no free", "set-free", "witnessed", "union",
+                         "keyed union"}, modes
+
+    def test_single_bag_programs_count_like_brute_force(self):
+        """Single-bag decompositions of the corpus lower to a counted
+        program whose tuple and columnar counts match brute force."""
+        counted = 0
+        for query, database in CORPUS:
+            decomposition = _decompose(query)
+            if decomposition is None or len(decomposition.tree.bags) != 1:
+                continue
+            program = lower_structural(query, decomposition)
+            (bag,) = program.bags
+            assert bag.counted and bag.kept == 0
+            assert program.free_positions == (None,)
+            executable = link(program)
+            expected = count_brute_force(query, database)
+            assert executable.count(database) == expected, query
+            columnar = database.with_backend("columnar")
+            assert executable.count(columnar) == expected, query
+            counted += 1
+        assert counted >= 20
+
+
+def _projected_count(query: ConjunctiveQuery, database: Database) -> int:
+    """``|pi_free|`` of the homomorphisms of *query*'s atoms."""
+    free = sorted(query.free_variables, key=lambda v: v.name)
+    return len({
+        tuple(assignment[v] for v in free)
+        for assignment in iter_homomorphisms(
+            ConjunctiveQuery(query.atoms, frozenset(), name="bag"),
+            database)
+    })
+
+
+def _count_mode(linked: _LinkedBag) -> str:
+    """Which branch of :meth:`_LinkedBag.count` a counted bag takes."""
+    if linked.mode == "scan":
+        return "scan"
+    prefix, final, key_of, _direct = linked.plan
+    if final < 0:
+        return "no free"
+    if prefix > final:
+        return "set-free" if final == len(linked.levels) - 1 \
+            else "witnessed"
+    return "union" if key_of is None else "keyed union"
+
+
+@st.composite
+def projected_shapes(draw):
+    """A path, cycle or star of 2–4 binary atoms over 1–2 repeated
+    symbols, sometimes with a constant end, a repeated variable or a
+    random free set, over a small random database."""
+    kind = draw(st.sampled_from(("path", "cycle", "star")))
+    length = draw(st.integers(2, 4))
+    nodes = [Variable(f"N{i}") for i in range(length + 1)]
+    if kind == "path":
+        edges = [(nodes[i], nodes[i + 1]) for i in range(length)]
+    elif kind == "cycle":
+        edges = [(nodes[i], nodes[(i + 1) % length]) for i in range(length)]
+    else:
+        edges = [(nodes[0], nodes[i + 1]) for i in range(length)]
+    symbols = draw(st.lists(st.sampled_from(("r", "s")), min_size=length,
+                            max_size=length))
+    terms = [list(edge) for edge in edges]
+    if draw(st.booleans()):
+        atom, side = draw(st.integers(0, length - 1)), draw(st.integers(0, 1))
+        terms[atom][side] = Constant(draw(st.integers(0, 2)))
+    if draw(st.booleans()):
+        atom = draw(st.integers(0, length - 1))
+        terms[atom][1] = terms[atom][0]
+    atoms = frozenset(Atom(symbol, tuple(pair))
+                      for symbol, pair in zip(symbols, terms))
+    used = sorted({v for atom in atoms for v in atom.variables},
+                  key=lambda v: v.name)
+    if draw(st.booleans()):  # the classic projections: both path ends
+        free = frozenset(v for v in (used[0], used[-1]))
+    else:
+        free = frozenset(draw(st.lists(st.sampled_from(used), unique=True)))
+    domain = draw(st.integers(2, 5))
+    row = st.tuples(st.integers(0, domain - 1), st.integers(0, domain - 1))
+    relations = {symbol: draw(st.lists(row, max_size=14))
+                 for symbol in sorted(set(symbols))}
+    query = ConjunctiveQuery(atoms, free, name=kind)
+    return query, _database(query, relations)
+
+
+class TestProjectedShapes:
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(projected_shapes())
+    def test_counted_bag_matches_brute_force(self, case):
+        query, database = case
+        bag, _schema = _lower_bag(sorted(query.atoms, key=repr),
+                                  query.free_variables, counted=True)
+        expected = _projected_count(query, database)
+        assert _LinkedBag(bag).count(database) == expected
+        with count_kernel_ops() as ops:
+            assert _LinkedBag(bag).count(database) == expected
+        counted = sum(KERNEL_UNITS[name] * value
+                      for name, value in ops.items())
+        if len(bag.scans) > 1:
+            sizes = [len(database[scan.relation]) for scan in bag.scans]
+            assert _join_estimate(bag, database, sizes)[0] >= counted
+        columnar = database.with_backend("columnar")
+        assert _ColumnarBag(bag).frame(columnar).n == expected
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(projected_shapes())
+    def test_engine_counts_match_brute_force(self, case):
+        query, database = case
+        result = count_answers(query, database, method="compiled",
+                               plan_cache=PlanCache())
+        assert result.count == count_brute_force(query, database)
+
 
 class TestLowering:
     def test_hosted_duplicates_are_dropped(self):
@@ -243,14 +384,36 @@ class TestLowering:
         program = lower_structural(star, _decompose(star))
         assert all(len(bag.scans) == 1 for bag in program.bags)
 
-    def test_kept_variables_lead_the_order(self):
+    def test_order_binds_by_linkage_with_free_variables_first(self):
+        """A counted bag's order binds each variable through the bound
+        prefix when one links it, and a free variable wins a tie, so
+        the projected path keeps its free ends at the two ends of the
+        order and eliminates the inner variables between them.  Scans
+        still emit their columns in order, and a materialized bag (of a
+        multi-bag program) still keeps its bag variables first."""
         path = parse_query("ans(A, D) :- r(A, B), s(B, C), t(C, D)")
         program = lower_structural(path, _decompose(path))
+        (bag,) = program.bags
+        assert bag.counted
+        assert bag.variables == ("A", "B", "C", "D")
+        assert bag.free == (0, 3)
+        for scan_slots in bag.slots:
+            assert list(scan_slots) == sorted(scan_slots)
+        assert describe_bags(program)[0]["eliminated"] == ["B", "C"]
+
+        cycle = parse_query("ans(A, C) :- r(A, B), s(B, C), t(C, D), "
+                            "u(D, A)")
+        (bag,) = lower_structural(cycle, _decompose(cycle)).bags
+        assert bag.variables == ("A", "B", "C", "D")  # C beats D on a tie
+        assert [bag.variables[slot] for slot in bag.free] == ["A", "C"]
+
+        query, _database_ = CORPUS[5]  # disconnected: two bags
+        program = lower_structural(query, _decompose(query))
+        assert len(program.bags) > 1
         for bag in program.bags:
+            assert not bag.counted
             kept = set(bag.variables[:bag.kept])
             assert len(kept) == bag.kept
-            for scan_slots in bag.slots:
-                assert list(scan_slots) == sorted(scan_slots)
 
 
 # ----------------------------------------------------------------------
@@ -392,7 +555,49 @@ class TestArtifacts:
         assert result.count == expected
 
 
+    def test_version_2_artifact_is_never_executed(self, tmp_path):
+        """A version-2 program — its single bag materialized on every
+        bag variable, here with the free projection dropped so that it
+        would count wrong — planted under the version-2 key is never
+        looked up under version 3."""
+        query = parse_query("ans(A, D) :- r(A, B), s(B, C), t(C, D)")
+        database = _database(query, HAND_PICKED[4][1])
+        expected = count_brute_force(query, database)
+        directory = str(tmp_path / "plans")
+        cache = PersistentPlanCache(directory)
+        form = cache.canonical(query)
+        decomposition = _decompose(form.query)
+        (chi,) = decomposition.tree.bags
+        atoms = sorted(form.query.atoms, key=repr)
+        bag, _schema = _lower_bag(atoms, frozenset(chi))
+        current = lower_structural(form.query, decomposition)
+        stale = dataclasses.replace(current, bags=(bag,),
+                                    free_positions=(None,), digest="")
+        stale = dataclasses.replace(stale, digest=program_digest(stale))
+        renamed = database.renamed_restriction(form.symbol_map)
+        assert link(stale).count(renamed) != expected
+        assert COMPILED_FORMAT_VERSION == 3
+        cache.plan(("compiled", form.fingerprint, 3, 2), lambda: stale)
+
+        result = count_answers(query, database,
+                               plan_cache=PersistentPlanCache(directory))
+        assert result.strategy == "compiled"
+        assert result.details["artifact_cached"] is False
+        assert result.count == expected
+
+
 class TestExplain:
+    def test_explain_names_union_eliminated_variables(self):
+        query = parse_query("ans(X, W) :- r(X, Y), s(Y, Z), t(Z, W)")
+        database = _database(query, HAND_PICKED[4][1])
+        result = count_answers(query, database, method="compiled",
+                               plan_cache=PlanCache())
+        assert result.details["bag_kernels"] == (
+            "generic_join over 3 scan(s), order X, Y, Z, W"
+            " | union-eliminated Y, Z")
+        assert "  bag 0: generic_join over 3 scan(s), order X, Y, Z, W" \
+            " | union-eliminated Y, Z" in result.explain()
+
     def test_explain_shows_kernels_and_order(self):
         query = parse_query("ans(X) :- r(X, Y), s(Y, Z), t(Z, X)")
         database = _database(query, HAND_PICKED[0][1])

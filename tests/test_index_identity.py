@@ -19,7 +19,7 @@ execution depends on it.
 from __future__ import annotations
 
 from repro.db.algebra import SubstitutionSet
-from repro.db.relation import Relation
+from repro.db.relation import ALIAS_POOL_LIMIT, Relation
 from repro.query.terms import make_variables
 
 A, B, C = make_variables("A", "B", "C")
@@ -92,6 +92,24 @@ class TestRelationIdentity:
         assert alias.statistics() is relation.statistics()
         # Renaming back yields the original instance.
         assert alias.renamed("r") is relation
+
+    def test_alias_pool_stays_bounded(self):
+        """10,000 fresh renamings (a caller renaming every request)
+        leave the shared pool bounded, while the alias a canonical name
+        is looked up under between them — as the engine does on every
+        count — and the way back to the original survive."""
+        relation = Relation("r", 2, [(1, 2), (1, 3)])
+        canonical = relation.renamed("s00")
+        for index in range(10_000):
+            fresh = relation.renamed(f"request{index}")
+            assert fresh.renamed("s00") is canonical
+        assert len(relation._renamed) <= ALIAS_POOL_LIMIT + 1
+        assert canonical.renamed("r") is relation
+        assert relation.renamed("s00") is canonical
+        # An evicted alias is rebuilt on demand, sharing the contents.
+        again = relation.renamed("request0")
+        assert again.rows is relation.rows
+        assert again.statistics() is relation.statistics()
 
     def test_renamed_to_same_name_is_self(self):
         relation = Relation("r", 1, [(1,)])
