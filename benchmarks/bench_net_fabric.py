@@ -19,6 +19,12 @@ The acceptance bars of ISSUE 8, asserted here and recorded into
   doubled (counts match the from-scratch oracle) and the
   checkpoint-ship-restore pause stays under
   :data:`HANDOFF_PAUSE_BOUND_S`.
+* **a repeated count spec is parsed once** — 1,000 ``job_from_wire``
+  calls on one count spec run the query parser once (a deterministic
+  count, read from the parse cache's own counters).  Next to it the
+  snapshot records the codec µs of one maintained count's round trip:
+  request encode and decode, then reply encode and decode, in one
+  process with no socket.
 * **``--chaos``: exactly-once under an adversarial proxy** (flag /
   dedicated CI step, not part of the default snapshot) — the TCP
   session runs through :class:`~repro.service.net.FaultyTransport`
@@ -35,6 +41,8 @@ Standalone usage (CI artifact)::
 from __future__ import annotations
 
 import time
+import timeit
+import uuid
 
 from repro.db.database import Database
 from repro.dynamic import Insert
@@ -55,9 +63,16 @@ from repro.service.net import (
     SHARD_ADDRS_ENV,
     FaultPlan,
     FaultyTransport,
+    FrameDecoder,
     ShardDirectory,
+    encode_frame,
+    job_from_wire,
+    job_to_wire,
+    result_from_wire,
+    result_to_wire,
     spawn_shard_server,
 )
+from repro.service.session import parse_cache_stats
 
 N_DATABASES = 4
 N_SHARDS = 2
@@ -85,6 +100,12 @@ HANDOFF_PAUSE_BOUND_S = 2.0
 CHAOS_ROUNDS = 8
 CHAOS_PLAN = FaultPlan(drop_every=13, duplicate_every=11,
                        corrupt_every=17, delay_every=19, delay_ms=2.0)
+
+#: Codec sizing: round trips per timed repeat (best of CODEC_REPEATS),
+#: and the job_from_wire calls of the parse-once bar.
+CODEC_ROUNDS = 1000
+CODEC_REPEATS = 9
+PARSE_ONCE_CALLS = 1000
 
 #: Env pins for every measurement: no CI-leg budget/shard/net knob may
 #: leak into sessions that pin their own.
@@ -142,6 +163,52 @@ def stream_counts(jobs, results, names):
         if hasattr(result, "count"):
             per_database[job.database].append(result.count)
     return [per_database[name] for name in names]
+
+
+# ----------------------------------------------------------------------
+# Part 0: the frame codec of one count, and the parse-once bar
+# ----------------------------------------------------------------------
+def measure_codec() -> dict:
+    with isolated_repro_env(**_ISOLATION_PINS):
+        with CountingSession() as session:
+            session.run_stream([AttachDatabase("star0",
+                                               star_database(0, rows=300))])
+            job = CountRequest(QUERY, "star0", label="star0")
+            result = session.count(job)
+
+    def round_trip():
+        request = {"id": "bench:1", "op": "submit", "shard": "b/shard0",
+                   "job": job_to_wire(job)}
+        server = FrameDecoder()
+        server.feed(encode_frame(request))
+        job_from_wire(server.next_frame()["job"])
+        reply = {"id": "bench:1", "ok": True,
+                 "result": result_to_wire(result)}
+        client = FrameDecoder()
+        client.feed(encode_frame(reply))
+        return result_from_wire(client.next_frame()["result"])
+
+    assert round_trip().count == result.count
+    seconds = min(timeit.repeat(round_trip, number=CODEC_ROUNDS,
+                                repeat=CODEC_REPEATS))
+    # A query name no earlier call has parsed, so the count is exact.
+    fresh = QUERY.renamed(f"q{uuid.uuid4().hex}")
+    spec = job_to_wire(CountRequest(fresh, "star0"))
+    before = parse_cache_stats()["misses"]
+    for _ in range(PARSE_ONCE_CALLS):
+        job_from_wire(dict(spec))
+    parses = parse_cache_stats()["misses"] - before
+    return {
+        "codec_workload": f"one maintained {BRANCHES}-branch star count: "
+                          f"job_to_wire + encode + decode + job_from_wire, "
+                          f"then result_to_wire + encode + decode + "
+                          f"result_from_wire, in process (best of "
+                          f"{CODEC_REPEATS} x {CODEC_ROUNDS})",
+        "codec_us_per_round_trip": round(seconds / CODEC_ROUNDS * 1e6, 2),
+        "parse_once_calls": PARSE_ONCE_CALLS,
+        "parse_once_parses": parses,
+        "meets_parse_once_bar": parses == 1,
+    }
 
 
 # ----------------------------------------------------------------------
@@ -317,7 +384,8 @@ def snapshot(chaos: bool = False) -> dict:
     it multiplies the stream's wall-clock by the injected fault rate, so
     the default snapshot keeps the two timing bars tight.
     """
-    result = measure_tcp()
+    result = measure_codec()
+    result.update(measure_tcp())
     result.update(measure_handoff())
     if chaos:
         result.update(measure_chaos())
@@ -327,6 +395,15 @@ def snapshot(chaos: bool = False) -> dict:
 # ----------------------------------------------------------------------
 # pytest entry points (run by the CI net leg)
 # ----------------------------------------------------------------------
+def test_repeated_count_spec_is_parsed_once():
+    """1,000 job_from_wire calls on one count spec parse its text once."""
+    outcome = measure_codec()
+    assert outcome["meets_parse_once_bar"], (
+        f"{outcome['parse_once_calls']} job_from_wire calls parsed the "
+        f"text {outcome['parse_once_parses']} times"
+    )
+
+
 def test_tcp_session_at_least_1x_single_writer():
     """ISSUE 8 bar: TCP 2-shard multi-writer >= 1.0x the single-writer
     session on localhost, counts bit-identical."""
@@ -374,6 +451,8 @@ if __name__ == "__main__":  # pragma: no cover - CI artifact entry point
         handle.write("\n")
     print(json.dumps(result, indent=2))
     failed = []
+    if not result["meets_parse_once_bar"]:
+        failed.append("a repeated count spec was parsed more than once")
     if not result["meets_net_1x_bar"]:
         failed.append("TCP 2-shard session is not >= 1.0x the "
                       "single writer")

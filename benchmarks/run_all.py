@@ -15,7 +15,7 @@ Two layers of measurement:
 Usage::
 
     PYTHONPATH=src python benchmarks/run_all.py            # full snapshot
-    PYTHONPATH=src python benchmarks/run_all.py --fast     # kernel files only
+    PYTHONPATH=src python benchmarks/run_all.py --fast     # kernel files + codec
     PYTHONPATH=src python benchmarks/run_all.py -o out.json
 
 The snapshot lands in ``BENCH_kernel.json`` at the repository root by
@@ -124,13 +124,15 @@ def columnar_snapshot() -> dict:
     return _load_bench_module("bench_columnar").snapshot()
 
 
-def net_snapshot() -> dict:
-    """The networked-shard-fabric numbers (bench_net_fabric): TCP
-    2-shard session vs single-writer over real shardserver
+def net_snapshot(fast: bool) -> dict:
+    """The networked-shard-fabric numbers (bench_net_fabric): the codec
+    µs of one count round trip and the parse-once bar; unless *fast*,
+    also the TCP 2-shard session vs single-writer over real shardserver
     subprocesses, and the bounded graceful-handoff pause (the chaos
     section stays behind the benchmark's ``--chaos`` flag / its
     dedicated CI step)."""
-    return _load_bench_module("bench_net_fabric").snapshot()
+    module = _load_bench_module("bench_net_fabric")
+    return module.measure_codec() if fast else module.snapshot()
 
 
 def deadline_snapshot() -> dict:
@@ -181,6 +183,7 @@ _HEADLINES = (
     ("deadline_within_fraction",
      ("deadline", "deadline_within_fraction")),
     ("net_speedup", ("net", "net_speedup")),
+    ("codec_us_per_round_trip", ("net", "codec_us_per_round_trip")),
     ("handoff_paused_s", ("net", "handoff_paused_s")),
     ("canonical_us_per_form", ("canonical", "canonical_us_per_form")),
 )
@@ -232,7 +235,8 @@ def main(argv=None) -> int:
     parser.add_argument("-o", "--output",
                         default=str(REPO_ROOT / "BENCH_kernel.json"))
     parser.add_argument("--fast", action="store_true",
-                        help="only the kernel-accountable benchmark files")
+                        help="only the kernel-accountable benchmark files "
+                             "and the frame-codec figures")
     args = parser.parse_args(argv)
 
     # --fast: only the combined kernel-pair run (below) — no per-file loop,
@@ -350,7 +354,7 @@ def main(argv=None) -> int:
             failures += 1
             print("[bench]   FAILED (deadline serving missed its budget, "
                   "epsilon, or exactness bar)", flush=True)
-        snapshot["net"] = net_snapshot()
+        snapshot["net"] = net_snapshot(fast=False)
         print(f"[bench] net: TCP 2-shard session "
               f"{snapshot['net']['net_speedup']}x vs single writer over "
               f"localhost; handoff paused "
@@ -374,6 +378,16 @@ def main(argv=None) -> int:
             failures += 1
             print("[bench]   FAILED (a symmetric family over its ceiling, "
                   "or a renaming split a fingerprint)", flush=True)
+    if args.fast:
+        snapshot["net"] = net_snapshot(fast=True)
+    net = snapshot["net"]
+    print(f"[bench] codec: {net['codec_us_per_round_trip']}us per count "
+          f"round trip; {net['parse_once_calls']} job_from_wire calls "
+          f"parsed the text {net['parse_once_parses']} time(s)", flush=True)
+    if not net["meets_parse_once_bar"]:
+        failures += 1
+        print("[bench]   FAILED (a repeated count spec was parsed more "
+              "than once)", flush=True)
     for name in files:
         print(f"[bench] {name} ...", flush=True)
         outcome = run_benchmark_files([name])

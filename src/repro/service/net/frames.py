@@ -23,7 +23,7 @@ inventing a parallel one:
   (:func:`repro.service.session.job_to_spec` /
   :func:`~repro.service.session.job_from_spec` — the same objects
   ``python -m repro session`` replays from JSON Lines files);
-* count results as :func:`repro.service.jobs.result_to_dict` documents;
+* count results in the :func:`repro.service.jobs.result_to_dict` layout;
 * errors as small typed objects (:func:`error_to_wire`), reconstructed
   on the client into the repository's own exception classes —
   :class:`~repro.service.router.ShardSaturatedError` keeps its
@@ -39,13 +39,14 @@ import struct
 import time
 from typing import Optional, Tuple
 
+from ...counting.engine import CountResult
 from ...exceptions import (
     DatabaseError,
     DecompositionNotFoundError,
     NotAcyclicError,
     ReproError,
 )
-from ..jobs import JobFileError, json_safe, result_from_dict, result_to_dict
+from ..jobs import JobFileError, json_safe, result_from_dict
 from ..router import ShardSaturatedError
 from ..session import SessionJob, job_from_spec, job_to_spec
 
@@ -89,10 +90,31 @@ def checksum(payload: bytes) -> bytes:
     return hashlib.sha256(payload).digest()[:8]
 
 
+#: The one payload encoder: compact, and refusing ±inf/nan so that such
+#: leaves take the :func:`json_safe` path instead of leaving as invalid
+#: JSON.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
+
+
 def encode_frame(payload_object: object) -> bytes:
-    """*payload_object* as one framed byte string."""
-    payload = json.dumps(json_safe(payload_object),
-                         separators=(",", ":")).encode("utf-8")
+    """*payload_object* as one framed byte string.
+
+    The payload is ``json_safe(payload_object)`` as compact JSON.  The
+    :func:`json_safe` walk runs only when a plain dump refuses the
+    payload or would render it differently: a non-JSON leaf, ±inf/nan,
+    or a key that is not a str, int or float (the dump renders int and
+    float keys as ``str`` does).  The fabric vocabulary needs no walk.
+    """
+    try:
+        payload = _ENCODER.encode(payload_object).encode("ascii")
+    except (TypeError, ValueError):
+        payload = None
+    # A True/False/None key dumps as "true"/"false"/"null", where
+    # json_safe writes "True"/"False"/"None"; a str key whose dump
+    # holds the same bytes only costs the walk, never a different frame.
+    if (payload is None or b'"true":' in payload
+            or b'"false":' in payload or b'"null":' in payload):
+        payload = _ENCODER.encode(json_safe(payload_object)).encode("ascii")
     if len(payload) > MAX_FRAME_BYTES:
         raise TransportError(
             f"frame payload of {len(payload)} bytes exceeds the "
@@ -145,18 +167,15 @@ class FrameDecoder:
         """The next decoded payload, ``None`` when more bytes are needed,
         or raise :class:`FrameError` for one damaged frame."""
         buffer = self._buffer
-        head = bytes(buffer[:len(MAGIC)])
-        if head and not (MAGIC.startswith(head) or head.startswith(MAGIC)):
+        if not buffer.startswith(MAGIC):
+            if MAGIC.startswith(buffer):  # empty, or a partial magic
+                return None
             self.rejected += 1
             self._resync(1)
             raise FrameError("garbage before frame magic; resynchronized")
         if len(buffer) < HEADER_SIZE:
             return None
-        magic, length, digest = _HEADER.unpack_from(buffer)
-        if magic != MAGIC:  # pragma: no cover - guarded by the head check
-            self.rejected += 1
-            self._resync(1)
-            raise FrameError("garbage before frame magic; resynchronized")
+        _, length, digest = _HEADER.unpack_from(buffer)
         if length > self.max_frame_bytes:
             # The length field itself is untrustworthy: skip this magic
             # and rescan rather than waiting for impossible bytes.
@@ -168,14 +187,16 @@ class FrameDecoder:
             )
         if len(buffer) < HEADER_SIZE + length:
             return None
-        payload = bytes(buffer[HEADER_SIZE:HEADER_SIZE + length])
+        payload = buffer[HEADER_SIZE:HEADER_SIZE + length]
         del buffer[:HEADER_SIZE + length]
         if checksum(payload) != digest:
             self.rejected += 1
             raise FrameError("frame checksum mismatch; frame dropped")
         try:
+            # Decoded here, not by json.loads: its bytes path runs a
+            # Python-level encoding sniff and admits UTF-16/32.
             return json.loads(payload.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError):
+        except ValueError:  # UnicodeDecodeError included
             self.rejected += 1
             raise FrameError("frame payload is not valid JSON") from None
 
@@ -202,16 +223,17 @@ def recv_frame(sock: socket.socket, decoder: FrameDecoder,
     on timeout or a closed/reset connection.
     """
     while True:
-        frame = decoder.next_frame()  # may raise FrameError
-        if frame is not None:
-            return frame
+        if decoder.buffered:
+            frame = decoder.next_frame()  # may raise FrameError
+            if frame is not None:
+                return frame
         try:
             if deadline is not None:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     raise TransportError("receive timed out")
                 sock.settimeout(remaining)
-            else:
+            elif sock.gettimeout() is not None:
                 sock.settimeout(None)
         except OSError as error:
             # The socket died under us (e.g. server close mid-serve).
@@ -246,12 +268,13 @@ def job_from_wire(spec: dict) -> SessionJob:
 def result_to_wire(result: object) -> dict:
     """A job result — :class:`~repro.counting.engine.CountResult` or an
     acknowledgement dict — as a tagged wire object."""
-    from ...counting.engine import CountResult
-
+    # No json_safe walk here: encode_frame walks a reply only when its
+    # details or acknowledgement need it.
     if isinstance(result, CountResult):
-        return {"kind": "count", **result_to_dict(result)}
+        return {"kind": "count", "count": result.count,
+                "strategy": result.strategy, "details": result.details}
     if isinstance(result, dict):
-        return {"kind": "ack", "ack": json_safe(result)}
+        return {"kind": "ack", "ack": result}
     raise TransportError(
         f"cannot serialize job result of type {type(result).__name__}"
     )

@@ -23,7 +23,7 @@ only when ``allow_chaos`` — ``stall`` (occupy a shard for a bounded
 time; the deterministic way tests saturate a remote queue).
 
 **Exactly-once under retries.**  Every request carries a client-unique
-id; the server remembers the last replies per client and serves a
+id; the server remembers each client's last reply and serves a
 repeated id from that memory instead of re-executing.  That single
 mechanism is what makes *every* op — updates included — safe to resend
 after a dropped frame, a severed connection, or a lost reply, which in
@@ -49,12 +49,13 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from ...counting.plan_cache import PersistentPlanCache, PlanCache
 from ...dynamic.maintainer import BUDGET_FROM_ENV
 from ...exceptions import ReproError
 from ..router import DEFAULT_RETRY_AFTER_MS, ShardSaturatedError
+from ..session import parse_cache_stats
 from ..shard import SessionShard
 from .frames import (
     FrameDecoder,
@@ -68,8 +69,10 @@ from .frames import (
 )
 from .kv import PlanCacheKVServer, RemotePlanCache
 
-#: Per-client bound on remembered replies (retries arrive promptly; a
-#: client never has more than a handful of requests in flight).
+#: Bound on the clients whose last reply the server remembers (least
+#: recently seen first out).  A client has one request in flight, and a
+#: retry resends that request's id, so its last reply is all the dedup
+#: memory it needs.
 REPLY_CACHE_SIZE = 1024
 
 #: Shard-core config keys a ``configure`` request may set.
@@ -151,7 +154,8 @@ class ShardServer:
         self._lock = threading.Lock()
         self._cores: Dict[str, _ShardCore] = {}
         self._core_counter = 0
-        self._replies: Dict[str, "OrderedDict[str, dict]"] = {}
+        #: client id -> (request id, reply) of its last request
+        self._replies: "OrderedDict[str, Tuple[str, dict]]" = OrderedDict()
         self._draining = False
         self._closed = False
         self.frames_rejected = 0
@@ -302,18 +306,18 @@ class ShardServer:
     def _remember_reply(self, request_id: str, reply: dict) -> None:
         client = request_id.rsplit(":", 1)[0]
         with self._lock:
-            cache = self._replies.setdefault(client, OrderedDict())
-            cache[request_id] = reply
-            while len(cache) > REPLY_CACHE_SIZE:
-                cache.popitem(last=False)
+            self._replies[client] = (request_id, reply)
+            self._replies.move_to_end(client)
+            if len(self._replies) > REPLY_CACHE_SIZE:
+                self._replies.popitem(last=False)
 
     def _cached_reply(self, request_id: str) -> Optional[dict]:
         client = request_id.rsplit(":", 1)[0]
         with self._lock:
-            cache = self._replies.get(client)
-            if cache is None:
-                return None
-            return cache.get(request_id)
+            last = self._replies.get(client)
+        if last is None or last[0] != request_id:
+            return None
+        return last[1]
 
     def _handle(self, request: object) -> dict:
         if not isinstance(request, dict):
@@ -430,6 +434,7 @@ class ShardServer:
                 "frames_rejected": self.frames_rejected,
                 "requests_served": self.requests_served,
                 "requests_deduped": self.requests_deduped,
+                "parse_cache": parse_cache_stats(),
                 "close_errors": self.close_errors,
                 "last_close_error": self.last_close_error,
                 "pending": core.pending,

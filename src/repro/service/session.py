@@ -43,12 +43,13 @@ import json
 import math
 import time
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Union
+from functools import lru_cache
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..db.database import Database
 from ..db.io import database_from_dict, database_to_dict, query_to_text
 from ..dynamic.updates import Delete, Insert, Update
-from ..exceptions import ReproError
+from ..exceptions import QueryError, ReproError
 from ..query.parser import parse_query
 from ..query.query import ConjunctiveQuery
 from .jobs import (
@@ -153,6 +154,51 @@ def _freeze(value):
     return value
 
 
+#: Distinct query texts whose parsed query :func:`job_from_spec` keeps
+#: (least recently used first out).  A shard server sees a few hot
+#: shapes, so a hot text is parsed once per server, not once per request.
+PARSE_CACHE_SIZE = 1024
+
+#: Bound on the query objects whose text :func:`job_to_spec` keeps.
+QUERY_TEXT_MEMO_SIZE = 1024
+
+#: ``id(query) -> (query, text)``; the entry holds its query, so an id
+#: in it is never reused by another object.
+_query_texts: Dict[int, Tuple[ConjunctiveQuery, str]] = {}
+
+
+@lru_cache(maxsize=PARSE_CACHE_SIZE)
+def _parsed_query(text: str) -> ConjunctiveQuery:
+    """*text* parsed.  Repeated text returns the identical (frozen)
+    query, so plan-cache lookups hit on identity; a parse error is
+    raised again on every request (``lru_cache`` keeps only returns)."""
+    return parse_query(text)
+
+
+def parse_cache_stats() -> dict:
+    """Hits, misses and size of the query-text parse cache."""
+    info = _parsed_query.cache_info()
+    return {"hits": info.hits, "misses": info.misses,
+            "size": info.currsize, "capacity": info.maxsize}
+
+
+def _query_text(query: ConjunctiveQuery) -> str:
+    """``query_to_text(query)``, rendered once per query object.
+
+    Keyed by identity, not equality: equal queries may still render
+    differently (their names, or constants ``1`` and ``True``).  When
+    the memo is full it starts over.
+    """
+    entry = _query_texts.get(id(query))
+    if entry is not None and entry[0] is query:
+        return entry[1]
+    text = query_to_text(query)
+    if len(_query_texts) >= QUERY_TEXT_MEMO_SIZE:
+        _query_texts.clear()
+    _query_texts[id(query)] = (query, text)
+    return text
+
+
 def job_from_spec(spec: dict, where: str = "<stream>") -> SessionJob:
     """One stream job from its JSON object (see :func:`load_stream`)."""
     if not isinstance(spec, dict):
@@ -169,7 +215,7 @@ def job_from_spec(spec: dict, where: str = "<stream>") -> SessionJob:
             )
         if op == "count":
             request = CountRequest(
-                query=parse_query(spec["query"]),
+                query=_parsed_query(spec["query"]),
                 database=spec["database"],
                 label=label,
                 **count_options_from_spec(spec),
@@ -195,7 +241,7 @@ def job_from_spec(spec: dict, where: str = "<stream>") -> SessionJob:
         raise JobFileError(
             f"{where}: {op!r} job lacks {missing.args[0]!r}"
         ) from None
-    except (TypeError, ValueError) as error:
+    except (TypeError, ValueError, QueryError) as error:
         raise JobFileError(f"{where}: malformed {op!r} job: {error}") from None
     raise JobFileError(f"{where}: unknown op {op!r}")
 
@@ -232,7 +278,7 @@ def job_to_spec(job: SessionJob) -> dict:
         spec = {"op": "database", "name": job.name,
                 "relations": database_to_dict(job.database)}
     elif isinstance(job, CountRequest):
-        spec = {"op": "count", "query": query_to_text(job.query),
+        spec = {"op": "count", "query": _query_text(job.query),
                 "database": job.database, **count_options_to_spec(job)}
         submitted_at = getattr(job, "submitted_at", None)
         if submitted_at is not None:

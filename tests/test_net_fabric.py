@@ -18,9 +18,12 @@ from __future__ import annotations
 
 import base64
 import hashlib
+import json
+import math
 import os
 import pickle
 import socket
+import struct
 import time
 
 import pytest
@@ -42,6 +45,7 @@ from repro.service import (
     ShardWorker,
     UpdateRequest,
 )
+from repro.service.jobs import json_safe, result_to_dict
 from repro.service.net import (
     HEADER_SIZE,
     MAGIC,
@@ -65,6 +69,7 @@ from repro.service.net import (
     result_from_wire,
     result_to_wire,
 )
+from repro.service.net.server import REPLY_CACHE_SIZE
 
 PATH = parse_query("ans(A, C) :- r(A, B), s(B, C)")
 
@@ -185,9 +190,106 @@ def test_lying_length_field_does_not_stall_the_decoder():
     assert decoder.next_frame() == {"after": 1}
 
 
+class _Opaque:
+    """A non-JSON leaf with a stable ``repr``."""
+
+    def __init__(self, tag: int):
+        self.tag = tag
+
+    def __repr__(self) -> str:
+        return f"<opaque {self.tag}>"
+
+
+rich_leaves = (
+    st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats()
+    | st.text(max_size=6) | st.sampled_from(["true", "null", '"false":'])
+    | st.builds(_Opaque, st.integers(0, 9))
+    | st.frozensets(st.integers(0, 3), max_size=3)
+)
+rich_keys = (
+    st.text(max_size=4) | st.sampled_from(["true", "false", "null"])
+    | st.integers(-5, 5) | st.floats() | st.booleans() | st.none()
+    | st.tuples(st.integers(0, 2), st.text(max_size=2))
+)
+rich_values = st.recursive(
+    rich_leaves,
+    lambda children: st.lists(children, max_size=3)
+    | st.tuples(children, children)
+    | st.dictionaries(rich_keys, children, max_size=4),
+    max_leaves=16,
+)
+
+
+def decode_one(frame: bytes) -> object:
+    decoder = FrameDecoder()
+    decoder.feed(frame)
+    return decoder.next_frame()
+
+
+@settings(max_examples=300, deadline=None)
+@given(payload=rich_values)
+def test_codec_decodes_to_the_json_safe_document(payload):
+    """Plain payloads skip the json_safe walk; whatever the payload, the
+    receiver sees exactly the json_safe document."""
+    expected = json.loads(json.dumps(json_safe(payload)))
+    assert decode_one(encode_frame(payload)) == expected
+
+
 # ----------------------------------------------------------------------
 # Wire vocabularies
 # ----------------------------------------------------------------------
+def reference_frame(payload: object) -> bytes:
+    """A frame as the codec built it before plain payloads skipped the
+    json_safe walk: the byte-for-byte reference."""
+    body = json.dumps(json_safe(payload), separators=(",", ":")).encode()
+    return (struct.pack(">4sI8s", MAGIC, len(body),
+                        hashlib.sha256(body).digest()[:8]) + body)
+
+
+def reference_result_to_wire(result: object) -> dict:
+    """``result_to_wire`` as it was when it walked details itself."""
+    if isinstance(result, dict):
+        return {"kind": "ack", "ack": json_safe(result)}
+    return {"kind": "count", **result_to_dict(result)}
+
+
+def test_fabric_vocabulary_frames_are_byte_identical():
+    from repro.counting.engine import CountResult, count_answers
+
+    jobs = [
+        AttachDatabase("db", small_db(), label="attach"),
+        CountRequest(PATH, "db", label="q0", deadline_ms=50.0,
+                     error_budget=0.1),
+        CountRequest(PATH, "db", max_degree=4.0, method="structural"),
+        UpdateRequest("db", Insert("r", (7, 10)), label="u0"),
+        UpdateRequest("db", Insert("r", ("x", (1, 2)))),
+    ]
+    with CountingSession({"db": small_db()}) as session:
+        results = [
+            session.count(CountRequest(PATH, "db", label="m0")),
+            session.update("db", Insert("r", (8, 10)), label="u1"),
+            count_answers(PATH, small_db()),
+            count_answers(PATH, small_db(), method="brute_force"),
+            CountResult(12.5, "approx", {"epsilon": 0.1, "delta": 0.05,
+                                         "bounds": (1.0, math.inf)}),
+        ]
+    errors = [ShardSaturatedError(1, 4, 12.5), ReproError("boom"),
+              ValueError("bad value")]
+    payloads = (
+        [{"id": f"c:{index}", "op": "submit", "shard": "s/shard0",
+          "job": job_to_wire(job)} for index, job in enumerate(jobs)]
+        + [{"id": "c:9", "ok": True, "result": result_to_wire(result)}
+           for result in results]
+        + [{"id": "c:10", "ok": False, "error": error_to_wire(error)}
+           for error in errors]
+    )
+    for payload in payloads:
+        assert encode_frame(payload) == reference_frame(payload)
+    for result in results:
+        assert (encode_frame(result_to_wire(result))
+                == reference_frame(reference_result_to_wire(result)))
+
+
 def test_job_wire_roundtrip():
     jobs = [
         AttachDatabase("db", small_db()),
@@ -331,6 +433,46 @@ class TestShardServer:
             # One application, not two:
             assert client.submit_job(
                 "d/shard0", CountRequest(PATH, "db")).count == 4 + 2
+            client.close()
+
+    def test_reply_memory_is_bounded_across_clients(self):
+        with ShardServer(shards=1) as server:
+            client = ShardClient(server.address)
+            client.configure("b/shard0", {})
+            client.submit_job("b/shard0", AttachDatabase("db", small_db()))
+            # Throwaway clients: one probe each under a fresh client id.
+            for index in range(2000):
+                reply = server._handle({"id": f"probe{index}:1",
+                                        "op": "probe"})
+                assert reply["ok"]
+            assert len(server._replies) <= REPLY_CACHE_SIZE
+            # A retried id still dedups: the update applies once.
+            request = {
+                "id": f"{client.client_id}:5000", "op": "submit",
+                "shard": "b/shard0",
+                "job": job_to_wire(UpdateRequest("db", Insert("r", (9, 10)))),
+            }
+            assert client._attempt(request) == client._attempt(request)
+            server_stats = client.stats("b/shard0")["server"]
+            assert server_stats["requests_deduped"] == 1
+            assert client.submit_job(
+                "b/shard0", CountRequest(PATH, "db")).count == 4 + 2
+            client.close()
+
+    def test_stats_report_the_parse_cache(self):
+        with ShardServer(shards=1) as server:
+            client = ShardClient(server.address)
+            client.configure("p/shard0", {})
+            client.submit_job("p/shard0", AttachDatabase("db", small_db()))
+            query = parse_query("parsestats(A, C) :- r(A, B), s(B, C)")
+            before = client.stats("p/shard0")["server"]["parse_cache"]
+            for _ in range(3):
+                assert client.submit_job(
+                    "p/shard0", CountRequest(query, "db")).count == 4
+            after = client.stats("p/shard0")["server"]["parse_cache"]
+            assert after["misses"] == before["misses"] + 1
+            assert after["hits"] == before["hits"] + 2
+            assert 1 <= after["size"] <= after["capacity"]
             client.close()
 
     def test_drain_refuses_new_submits_but_probe_reports_it(self):

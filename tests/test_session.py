@@ -22,13 +22,17 @@ from repro.exceptions import NotAcyclicError, ReproError
 from repro.query import parse_query
 from repro.query.canonical import canonical_form, random_renaming
 from repro.service import (
+    AttachDatabase,
     CountRequest,
     CountingSession,
     JobFileError,
     UpdateRequest,
     dump_stream,
+    job_from_spec,
+    job_to_spec,
     load_stream,
 )
+from repro.service.session import PARSE_CACHE_SIZE, parse_cache_stats
 from repro.workloads.session_stream import (
     session_stream_jobs,
     write_session_stream,
@@ -330,6 +334,63 @@ class TestStreamFiles:
         path.write_text('{"op": "teleport"}\n')
         with pytest.raises(JobFileError):
             load_stream(str(path))
+
+
+class TestParseCache:
+    """``job_from_spec`` parses each distinct query text once while the
+    text stays in its bounded LRU."""
+
+    def test_repeated_text_returns_the_same_query(self):
+        spec = {"op": "count", "query": "hot(A, C) :- r(A, B), s(B, C)",
+                "database": "d"}
+        first = job_from_spec(dict(spec))
+        before = parse_cache_stats()
+        second = job_from_spec(dict(spec))
+        assert second is not first
+        assert second.query is first.query
+        after = parse_cache_stats()
+        assert after["hits"] == before["hits"] + 1
+        assert after["misses"] == before["misses"]
+
+    def test_cache_stays_within_its_bound(self):
+        for index in range(PARSE_CACHE_SIZE + 50):
+            job_from_spec({"op": "count", "database": "d",
+                           "query": f"bound{index}(A) :- r(A, B)"})
+        stats = parse_cache_stats()
+        assert stats["size"] <= stats["capacity"] == PARSE_CACHE_SIZE
+
+    def test_malformed_text_raises_on_every_request(self):
+        spec = {"op": "count", "query": "ans(A) :- r(A,", "database": "d"}
+        for attempt in range(3):
+            before = parse_cache_stats()["misses"]
+            with pytest.raises(JobFileError, match="malformed 'count'"):
+                job_from_spec(dict(spec), where=f"<try {attempt}>")
+            # A failure is not cached: every request parses again.
+            assert parse_cache_stats()["misses"] == before + 1
+        stray = {"op": "count", "query": "ans(Z) :- r(A, B)",
+                 "database": "d"}
+        with pytest.raises(JobFileError):
+            job_from_spec(stray)
+
+    def test_shared_clients_unchanged_over_repeated_texts(self):
+        """Served from cached parses, a stream of repeated texts reports
+        the same ``shared_clients`` as one built from fresh parses."""
+        renamed = random_renaming(PATH, seed=11)
+        texts = [job_to_spec(CountRequest(query, "d"))["query"]
+                 for query in (PATH, PATH, renamed, PATH, renamed)]
+        fresh = [AttachDatabase("d", path_database())] + [
+            CountRequest(parse_query(text), "d") for text in texts]
+        cached = [AttachDatabase("d", path_database())] + [
+            job_from_spec({"op": "count", "query": text, "database": "d"})
+            for text in texts]
+
+        def shared_clients(jobs):
+            with CountingSession() as session:
+                return [result.details["shared_clients"]
+                        for result in session.run_stream(jobs)[1:]]
+
+        assert shared_clients(cached) == shared_clients(fresh) \
+            == [1, 1, 2, 2, 2]
 
 
 class TestSessionCLI:
