@@ -30,7 +30,12 @@ The acceptance bars of ISSUE 8, asserted here and recorded into
   session runs through :class:`~repro.service.net.FaultyTransport`
   proxies that drop, duplicate, corrupt, and delay frames; every count
   must still match the inline oracle bit-for-bit, and the proxy must
-  certify it actually injected faults.
+  certify it actually injected faults.  A stall phase then occupies one
+  writer's shard for longer than the client timeout just before that
+  writer's next update: the update times out and is resent under the
+  same id while the original is still queued, and the server must
+  answer the resend with the original's reply (counts and the final
+  relation equal the oracle's, and the server counts a dedup).
 
 Standalone usage (CI artifact)::
 
@@ -40,6 +45,7 @@ Standalone usage (CI artifact)::
 
 from __future__ import annotations
 
+import threading
 import time
 import timeit
 import uuid
@@ -48,6 +54,7 @@ from repro.db.database import Database
 from repro.dynamic import Insert
 from repro.dynamic.maintainer import MAINTAINER_BUDGET_ENV
 from repro.envknobs import isolated_repro_env
+from repro.exceptions import ReproError
 from repro.query.parser import parse_query
 from repro.service import (
     SESSION_SHARDS_ENV,
@@ -64,6 +71,7 @@ from repro.service.net import (
     FaultPlan,
     FaultyTransport,
     FrameDecoder,
+    ShardClient,
     ShardDirectory,
     encode_frame,
     job_from_wire,
@@ -100,6 +108,16 @@ HANDOFF_PAUSE_BOUND_S = 2.0
 CHAOS_ROUNDS = 8
 CHAOS_PLAN = FaultPlan(drop_every=13, duplicate_every=11,
                        corrupt_every=17, delay_every=19, delay_ms=2.0)
+#: Chaos client timeout, and the stall phase's stall: longer than the
+#: timeout, so the stalled writer's update is retried while queued.
+CHAOS_TIMEOUT_MS = 1000.0
+STALL_MS = 1500.0
+#: The stall precedes the stalled writer's update of this round.
+STALL_ROUND = CHAOS_ROUNDS // 2
+#: Head start that lets the stall reach the shard's queue before the
+#: update does (a lost race shows as ``stall_deduped`` 0, failing the
+#: bar rather than passing it vacuously).
+STALL_ADMIT_S = 0.1
 
 #: Codec sizing: round trips per timed repeat (best of CODEC_REPEATS),
 #: and the job_from_wire calls of the parse-once bar.
@@ -329,7 +347,7 @@ def measure_chaos() -> dict:
     # Short timeouts + deep retry budget: dropped frames are *detected*
     # quickly and retried (same request id — the server dedups), so the
     # run terminates fast without ever double-executing a job.
-    pins[NET_TIMEOUT_ENV] = "1000"
+    pins[NET_TIMEOUT_ENV] = str(CHAOS_TIMEOUT_MS)
     pins[NET_RETRIES_ENV] = "10"
     with isolated_repro_env(**pins):
         streams = writer_streams(rounds=CHAOS_ROUNDS)
@@ -339,6 +357,8 @@ def measure_chaos() -> dict:
             expected = stream_counts(
                 interleaved, oracle.run_stream(interleaved), DB_NAMES
             )
+            expected_rows = relation_rows(
+                oracle.checkpoint_database(DB_NAMES[0]))
 
         started = time.perf_counter()
         with spawn_shard_server() as first, spawn_shard_server() as second:
@@ -355,6 +375,7 @@ def measure_chaos() -> dict:
                                  "delayed", "forwarded")
                 }
         chaos_seconds = time.perf_counter() - started
+        stall = measure_stall(streams, expected, expected_rows)
     observed = [
         [result.count for result in outcome if hasattr(result, "count")]
         for outcome in outcomes
@@ -373,7 +394,83 @@ def measure_chaos() -> dict:
         "chaos_seconds": round(chaos_seconds, 4),
         "chaos_faults": faults,
         "chaos_correct": correct,
-        "meets_chaos_bar": correct and injected,
+        **stall,
+        "meets_chaos_bar": (correct and injected and stall["stall_correct"]
+                            and stall["stall_deduped"] >= 1),
+    }
+
+
+def relation_rows(checkpoint: dict) -> dict:
+    """A checkpoint's relations as order-free row sets."""
+    return {name: {tuple(row) for row in rows}
+            for name, rows in checkpoint["relations"].items()
+            if not name.startswith("__")}
+
+
+def stall_in_background(address: str, shard: str) -> threading.Thread:
+    """Occupy *shard* for :data:`STALL_MS` from a second client."""
+    client = ShardClient(address, timeout_ms=4 * STALL_MS, retries=0)
+
+    def stall() -> None:
+        try:
+            client.stall(shard, STALL_MS)
+        finally:
+            client.close()
+
+    thread = threading.Thread(target=stall, daemon=True)
+    thread.start()
+    time.sleep(STALL_ADMIT_S)
+    return thread
+
+
+def measure_stall(streams, expected, expected_rows) -> dict:
+    """Replay the writers' streams over two plain shard servers, with
+    one writer's shard stalled past the client timeout just before
+    that writer's next update.  Runs under :func:`measure_chaos`'s
+    timeout pins."""
+    victim = DB_NAMES[0]
+    observed = {name: [] for name in DB_NAMES}
+    error = None
+    started = time.perf_counter()
+    with spawn_shard_server(["--allow-chaos"]) as first, \
+            spawn_shard_server(["--allow-chaos"]) as second:
+        addresses = [first.address, second.address]
+        with MultiWriterSession(shards=N_SHARDS, shard_mode="tcp",
+                                shard_addrs=addresses) as sharded:
+            index = sharded.shard_of(victim)
+            address = addresses[index % len(addresses)]
+            shard = f"{sharded.shard_namespace}/shard{index}"
+            staller = None
+            updates = 0
+            try:
+                for job in round_robin(streams):
+                    if (isinstance(job, UpdateRequest)
+                            and job.database == victim):
+                        updates += 1
+                        if updates == STALL_ROUND:
+                            staller = stall_in_background(address, shard)
+                    result = sharded.submit(job).result()
+                    if hasattr(result, "count"):
+                        observed[job.database].append(result.count)
+            except ReproError as failure:
+                error = f"{type(failure).__name__}: {failure}"
+            if staller is not None:
+                staller.join()
+            probe = ShardClient(address)
+            deduped = probe.stats(shard)["server"]["requests_deduped"]
+            rows = relation_rows(probe.checkpoint(shard, victim))
+            probe.close()
+    return {
+        "stall_workload": f"{victim}'s shard stalled {STALL_MS:g} ms "
+                          f"(client timeout {CHAOS_TIMEOUT_MS:g} ms) "
+                          f"before its round-{STALL_ROUND} update",
+        "stall_seconds": round(time.perf_counter() - started, 4),
+        "stall_deduped": deduped,
+        "stall_error": error,
+        "stall_correct": (error is None
+                          and [observed[name] for name in DB_NAMES]
+                          == expected
+                          and rows == expected_rows),
     }
 
 
@@ -427,8 +524,9 @@ def test_graceful_handoff_pause_is_bounded():
 
 
 def test_chaos_replay_is_exactly_once():
-    """ISSUE 8 satellite: drop/dup/corrupt/delay faults cost retries,
-    never correctness."""
+    """Chaos bar: drop/dup/corrupt/delay faults cost retries, never
+    correctness, and a retry of an update that outlived the client
+    timeout waits for the original instead of re-running it."""
     outcome = measure_chaos()
     assert outcome["meets_chaos_bar"], (
         f"chaos run broke exactly-once: {outcome}"

@@ -493,13 +493,11 @@ def _cmd_shardserver(args: argparse.Namespace) -> int:
     server = ShardServer(
         host=host, port=port, shards=args.shards,
         max_pending=args.max_pending, cache_dir=args.cache_dir,
-        cache_url=args.cache_url, allow_chaos=args.allow_chaos,
+        allow_chaos=args.allow_chaos,
         shard_defaults=shard_defaults or None, label=args.label,
     )
     print(f"shardserver listening on {server.address} "
           f"(shards={args.shards})", flush=True)
-    if server.kv is not None:
-        print(f"shardserver plan-cache kv at {server.kv.url}", flush=True)
     stop = threading.Event()
 
     def _request_stop(signum, frame) -> None:
@@ -697,13 +695,7 @@ def build_parser() -> argparse.ArgumentParser:
                                   "cores reject submits over the wire "
                                   "with a retry-after hint")
     shardserver.add_argument("--cache-dir", default=None,
-                             help="persistent plan-cache directory; also "
-                                  "served to other shard servers over a "
-                                  "local HTTP/KV endpoint")
-    shardserver.add_argument("--cache-url", default=None,
-                             help="remote plan-cache KV endpoint "
-                                  "(another shardserver's --cache-dir "
-                                  "export) to warm-start plans from")
+                             help="persistent plan-cache directory")
     shardserver.add_argument("--maintainer-budget-mb", type=float,
                              default=None,
                              help="resident maintainer budget per hosted "

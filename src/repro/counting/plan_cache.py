@@ -139,10 +139,8 @@ def known_content_tag(relation: Relation) -> Optional[str]:
 
 
 # ----------------------------------------------------------------------
-# The spill-entry codec: one self-verifying JSON document per plan.
-# Shared by the disk tier (PersistentPlanCache) and the networked tier
-# (repro.service.net.kv.RemotePlanCache) so every consumer applies the
-# exact same validation — entry format, *full* key match, blob envelope.
+# The spill-entry codec: one self-verifying JSON document per plan,
+# validated on load — entry format, *full* key match, blob envelope.
 # ----------------------------------------------------------------------
 def encode_plan_entry(key: tuple, value: object,
                       tags: Iterable[str] = ()) -> Optional[str]:

@@ -17,8 +17,6 @@ SessionShard` workers to first-class network services:
 * :mod:`~repro.service.net.directory` — :class:`ShardDirectory`, the
   control plane assigning databases to addresses with graceful handoff
   and crash failover built on data-only checkpoint snapshots.
-* :mod:`~repro.service.net.kv` — the networked plan-cache tier
-  (:class:`PlanCacheKVServer` / :class:`RemotePlanCache`).
 * :mod:`~repro.service.net.chaos` — :class:`FaultyTransport`, the
   deterministic fault-injection proxy the tests and ``--chaos``
   benchmarks drive.
@@ -62,7 +60,6 @@ from .frames import (
     result_to_wire,
     send_frame,
 )
-from .kv import MAX_ENTRY_BYTES, PlanCacheKVServer, RemotePlanCache
 from .server import ShardServer, ShardServerProcess, spawn_shard_server
 
 __all__ = [
@@ -72,7 +69,6 @@ __all__ = [
     "DEFAULT_TIMEOUT_MS",
     "HEADER_SIZE",
     "MAGIC",
-    "MAX_ENTRY_BYTES",
     "MAX_FRAME_BYTES",
     "NET_RETRIES_ENV",
     "NET_TIMEOUT_ENV",
@@ -81,8 +77,6 @@ __all__ = [
     "FaultyTransport",
     "FrameDecoder",
     "FrameError",
-    "PlanCacheKVServer",
-    "RemotePlanCache",
     "RemoteShard",
     "RemoteShardError",
     "ShardClient",

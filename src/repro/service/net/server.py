@@ -23,12 +23,14 @@ only when ``allow_chaos`` — ``stall`` (occupy a shard for a bounded
 time; the deterministic way tests saturate a remote queue).
 
 **Exactly-once under retries.**  Every request carries a client-unique
-id; the server remembers each client's last reply and serves a
-repeated id from that memory instead of re-executing.  That single
-mechanism is what makes *every* op — updates included — safe to resend
-after a dropped frame, a severed connection, or a lost reply, which in
-turn is why the fault-injection harness can demand bit-identical
-results under chaos.
+id; the server keeps, per client, the future of its last request,
+installed *before* the job is dispatched.  A repeated id waits on that
+future and returns its reply instead of re-executing — whether the
+original is still queued, running, or done.  That single mechanism is
+what makes *every* op — updates included — safe to resend after a
+dropped frame, a severed connection, a lost reply, or a client timeout
+on a slow job, which in turn is why the fault-injection harness can
+demand bit-identical results under chaos.
 
 Admission mirrors the in-process front end: with ``max_pending`` set, a
 shard whose queue is full rejects the request with a
@@ -48,7 +50,7 @@ import sys
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Dict, List, Optional, Set, Tuple
 
 from ...counting.plan_cache import PersistentPlanCache, PlanCache
@@ -67,12 +69,11 @@ from .frames import (
     result_to_wire,
     send_frame,
 )
-from .kv import PlanCacheKVServer, RemotePlanCache
 
-#: Bound on the clients whose last reply the server remembers (least
+#: Bound on the clients whose last request the server remembers (least
 #: recently seen first out).  A client has one request in flight, and a
-#: retry resends that request's id, so its last reply is all the dedup
-#: memory it needs.
+#: retry resends that request's id, so its last request's reply is all
+#: the dedup memory it needs.
 REPLY_CACHE_SIZE = 1024
 
 #: Shard-core config keys a ``configure`` request may set.
@@ -118,14 +119,8 @@ class ShardServer:
         Per-core admission bound (``None`` admits unboundedly).
     cache_dir:
         Plan spill directory; the server's shards share a
-        :class:`~repro.counting.plan_cache.PersistentPlanCache` over it
-        **and** the directory is served to the fleet through an HTTP/KV
-        endpoint (``self.kv_url``).
-    cache_url:
-        Consume another server's KV endpoint instead (mutually
-        beneficial with *cache_dir* on the serving side); plans spill
-        locally to *cache_dir* (or stay memory-only) when the endpoint
-        errors.
+        :class:`~repro.counting.plan_cache.PersistentPlanCache` over it.
+        Several servers share plans by naming the same directory.
     allow_chaos:
         Enable the ``stall`` op (tests and the ``--chaos`` benchmark).
     shard_defaults:
@@ -137,7 +132,6 @@ class ShardServer:
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  shards: int = 1, max_pending: Optional[int] = None,
                  cache_dir: Optional[str] = None,
-                 cache_url: Optional[str] = None,
                  allow_chaos: bool = False,
                  shard_defaults: Optional[dict] = None,
                  label: Optional[str] = None):
@@ -154,8 +148,10 @@ class ShardServer:
         self._lock = threading.Lock()
         self._cores: Dict[str, _ShardCore] = {}
         self._core_counter = 0
-        #: client id -> (request id, reply) of its last request
-        self._replies: "OrderedDict[str, Tuple[str, dict]]" = OrderedDict()
+        #: client id -> (request id, future reply) of its last request
+        self._replies: "OrderedDict[str, Tuple[str, Future]]" = (
+            OrderedDict()
+        )
         self._draining = False
         self._closed = False
         self.frames_rejected = 0
@@ -169,17 +165,11 @@ class ShardServer:
         self.close_errors = 0
         self.last_close_error: Optional[str] = None
 
-        # The plan-cache tier shared by this server's cores.
-        self.kv: Optional[PlanCacheKVServer] = None
-        if cache_url:
-            self.plan_cache: PlanCache = RemotePlanCache(
-                cache_url, fallback_dir=cache_dir, label=label
-            )
-        elif cache_dir:
-            self.plan_cache = PersistentPlanCache(cache_dir, label=label)
-            self.kv = PlanCacheKVServer(cache_dir, host=host)
-        else:
-            self.plan_cache = PlanCache(label=label)
+        # The plan cache shared by this server's cores.
+        self.plan_cache: PlanCache = (
+            PersistentPlanCache(cache_dir, label=label) if cache_dir
+            else PlanCache(label=label)
+        )
 
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -199,11 +189,6 @@ class ShardServer:
         self._accept_thread.start()
 
     # ------------------------------------------------------------------
-    @property
-    def kv_url(self) -> Optional[str]:
-        """The plan-cache KV endpoint, when this server serves one."""
-        return self.kv.url if self.kv is not None else None
-
     def shard_names(self) -> List[str]:
         with self._lock:
             return sorted(self._cores)
@@ -303,42 +288,43 @@ class ShardServer:
             except OSError:
                 pass
 
-    def _remember_reply(self, request_id: str, reply: dict) -> None:
-        client = request_id.rsplit(":", 1)[0]
-        with self._lock:
-            self._replies[client] = (request_id, reply)
-            self._replies.move_to_end(client)
-            if len(self._replies) > REPLY_CACHE_SIZE:
-                self._replies.popitem(last=False)
-
-    def _cached_reply(self, request_id: str) -> Optional[dict]:
-        client = request_id.rsplit(":", 1)[0]
-        with self._lock:
-            last = self._replies.get(client)
-        if last is None or last[0] != request_id:
-            return None
-        return last[1]
-
     def _handle(self, request: object) -> dict:
         if not isinstance(request, dict):
             return {"id": None, "ok": False,
                     "error": {"type": "TransportError",
                               "message": "request frame is not an object"}}
         request_id = request.get("id")
-        if isinstance(request_id, str):
-            cached = self._cached_reply(request_id)
-            if cached is not None:
-                with self._lock:
-                    self.requests_deduped += 1
-                return cached
+        if not isinstance(request_id, str):
+            return self._execute(request_id, request)
+        # The future is installed before dispatch, so a same-id retry
+        # that arrives while the original is queued or running waits
+        # for its reply instead of executing the job a second time.
+        client = request_id.rsplit(":", 1)[0]
+        with self._lock:
+            last = self._replies.get(client)
+            duplicate = last is not None and last[0] == request_id
+            if duplicate:
+                future = last[1]
+                self.requests_deduped += 1
+            else:
+                future = Future()
+                self._replies[client] = (request_id, future)
+                if len(self._replies) > REPLY_CACHE_SIZE:
+                    self._replies.popitem(last=False)
+            self._replies.move_to_end(client)
+        if duplicate:
+            return future.result()
+        reply = self._execute(request_id, request)
+        future.set_result(reply)
+        return reply
+
+    def _execute(self, request_id: object, request: dict) -> dict:
         try:
             result = self._dispatch(request)
             reply = {"id": request_id, "ok": True, "result": result}
         except BaseException as error:
             reply = {"id": request_id, "ok": False,
                      "error": error_to_wire(error)}
-        if isinstance(request_id, str):
-            self._remember_reply(request_id, reply)
         with self._lock:
             self.requests_served += 1
         return reply
@@ -439,7 +425,6 @@ class ShardServer:
                 "last_close_error": self.last_close_error,
                 "pending": core.pending,
                 "max_pending": self.max_pending,
-                "kv_url": self.kv_url,
             }
         return stats
 
@@ -556,8 +541,6 @@ class ShardServer:
                 pass
         for core in cores:
             core.pool.shutdown(wait=False, cancel_futures=True)
-        if self.kv is not None:
-            self.kv.close()
 
     def close(self) -> None:
         """Graceful shutdown: drain, close cores, stop listening."""
@@ -587,8 +570,6 @@ class ShardServer:
                 connection.close()
             except OSError:
                 pass
-        if self.kv is not None:
-            self.kv.close()
 
     def __enter__(self) -> "ShardServer":
         return self

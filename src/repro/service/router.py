@@ -245,8 +245,8 @@ class MultiWriterSession:
                 raise ValueError(
                     "shard_mode='tcp' cannot share an in-memory "
                     "plan_cache with remote shard servers; point the "
-                    "servers at a cache directory or KV endpoint "
-                    "(shardserver --cache-dir/--cache-url) instead"
+                    "servers at a cache directory (shardserver "
+                    "--cache-dir) instead"
                 )
             self.shard_addrs: Optional[List[str]] = list(shard_addrs)
             # Default the shard count to the fleet size (still

@@ -11,7 +11,7 @@ Four layers, tested bottom-up:
   retries), drain, saturation over the wire, timeouts and backoff
   under a :class:`~repro.service.net.chaos.FaultyTransport`;
 * the control plane — graceful handoff and kill-driven failover with
-  no job lost or doubled, plus the networked plan-cache tier.
+  no job lost or doubled, plus plan sharing through one cache directory.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ import os
 import pickle
 import socket
 import struct
+import sys
+import threading
 import time
 
 import pytest
@@ -53,8 +55,6 @@ from repro.service.net import (
     FaultyTransport,
     FrameDecoder,
     FrameError,
-    PlanCacheKVServer,
-    RemotePlanCache,
     RemoteShard,
     ShardClient,
     ShardDirectory,
@@ -69,6 +69,7 @@ from repro.service.net import (
     result_from_wire,
     result_to_wire,
 )
+from repro.service.net.frames import send_frame
 from repro.service.net.server import REPLY_CACHE_SIZE
 
 PATH = parse_query("ans(A, C) :- r(A, B), s(B, C)")
@@ -435,6 +436,89 @@ class TestShardServer:
                 "d/shard0", CountRequest(PATH, "db")).count == 4 + 2
             client.close()
 
+    @pytest.mark.parametrize("kind", ["insert", "count"])
+    def test_retry_of_a_job_past_the_client_timeout_waits_for_it(self, kind):
+        # A job queued behind a stall outlives the client's timeout, so
+        # the client resends the same id while the original is still
+        # queued or running.  The retry must wait for the original's
+        # reply: a second execution would re-insert the row (and fail
+        # with "already present") or count twice.
+        with ShardServer(shards=1, allow_chaos=True) as server:
+            client = ShardClient(server.address)
+            client.configure("o/shard0", {})
+            client.submit_job("o/shard0", AttachDatabase("db", small_db()))
+            before = client.stats("o/shard0")
+            blocker = ShardClient(server.address)
+            send_frame(blocker._connected(),
+                       {"id": blocker._next_id(), "op": "stall",
+                        "shard": "o/shard0", "ms": 400})
+            core = server._core("o/shard0")
+            deadline = time.monotonic() + 5
+            while core.pending < 1 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert core.pending >= 1, "stall was never admitted"
+            impatient = ShardClient(server.address, timeout_ms=100,
+                                    retries=8)
+            if kind == "insert":
+                job = UpdateRequest("db", Insert("r", (5, 6)))
+            else:
+                job = CountRequest(PATH, "db")
+            reply = impatient.submit_job("o/shard0", job)
+            assert impatient.retried_requests >= 1
+            after = client.stats("o/shard0")
+            assert after["server"]["requests_deduped"] >= 1
+            executed = sum(
+                after[key] - before[key]
+                for key in ("updates_applied", "maintained_counts",
+                            "engine_counts"))
+            assert executed == 1
+            if kind == "insert":
+                assert reply["applied"] and reply["total_tuples"] == 7
+                checkpoint = client.checkpoint("o/shard0", "db")
+                assert checkpoint["relations"]["r"].count([5, 6]) == 1
+            else:
+                assert reply.count == 4
+            impatient.close()
+            blocker.close()
+            client.close()
+
+    def test_concurrent_duplicates_execute_once(self):
+        # Connection threads race on the dedup table: however the
+        # same-id copies interleave, one executes and the rest wait.
+        with ShardServer(shards=1) as server:
+            client = ShardClient(server.address)
+            client.configure("k/shard0", {})
+            client.submit_job("k/shard0", AttachDatabase("db", small_db()))
+            request = {
+                "id": "racer:1", "op": "submit", "shard": "k/shard0",
+                "job": job_to_wire(UpdateRequest("db", Insert("r", (9, 10)))),
+            }
+            replies = []
+            start = threading.Barrier(16)
+
+            def send() -> None:
+                start.wait(timeout=10)
+                replies.append(server._handle(dict(request)))
+
+            threads = [threading.Thread(target=send) for _ in range(16)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(replies) == 16
+            assert replies[0]["ok"]
+            assert all(reply == replies[0] for reply in replies)
+            assert server.requests_deduped == 15
+            assert client.submit_job(
+                "k/shard0", CountRequest(PATH, "db")).count == 4 + 2
+            client.close()
+
     def test_reply_memory_is_bounded_across_clients(self):
         with ShardServer(shards=1) as server:
             client = ShardClient(server.address)
@@ -497,7 +581,6 @@ class TestShardServer:
             # zero patience: the rejection must carry a positive hint.
             blocker = ShardClient(server.address)
             stall = blocker._next_id()
-            from repro.service.net.frames import send_frame
             send_frame(blocker._connected(),
                        {"id": stall, "op": "stall", "shard": "s/shard0",
                         "ms": 3000})
@@ -674,78 +757,29 @@ class TestClientRetries:
 
 
 # ----------------------------------------------------------------------
-# The plan-cache KV tier
+# Plan sharing through one cache directory
 # ----------------------------------------------------------------------
-class TestRemotePlanCache:
-    def test_remote_store_then_warm_start(self, tmp_path):
-        store = tmp_path / "kv"
-        with PlanCacheKVServer(str(store)) as kv:
-            first = RemotePlanCache(kv.url)
-            from repro.counting.engine import count_answers
-            count_answers(PATH, small_db(), plan_cache=first)
-            assert first.net_stored >= 1
-            # A different cache against the same endpoint warm-starts.
-            second = RemotePlanCache(kv.url)
-            count_answers(PATH, small_db(), plan_cache=second)
-            assert second.net_hits >= 1
-            assert second.stats()["cache_url"] == kv.url
-
-    def test_dead_endpoint_degrades_to_local_fallback(self, tmp_path):
-        dead_url = "http://127.0.0.1:9"  # discard port; never listens
-        cache = RemotePlanCache(dead_url, fallback_dir=str(tmp_path),
-                                timeout_s=0.2)
-        from repro.counting.engine import count_answers
-        result = count_answers(PATH, small_db(), plan_cache=cache)
-        assert result.count == 4  # correctness survives the outage
-        assert cache.net_errors >= 1
-        assert cache.fallback_stored >= 1
-        # And the spilled entry serves the next cold start locally.
-        revived = RemotePlanCache(dead_url, fallback_dir=str(tmp_path),
-                                  timeout_s=0.2)
-        count_answers(PATH, small_db(), plan_cache=revived)
-        assert revived.fallback_hits >= 1
-
-    def test_corrupted_remote_entry_is_rejected_not_adopted(self, tmp_path):
-        store = tmp_path / "kv"
-        with PlanCacheKVServer(str(store)) as kv:
-            seed = RemotePlanCache(kv.url)
-            from repro.counting.engine import count_answers
-            count_answers(PATH, small_db(), plan_cache=seed)
-            # Vandalize every stored entry document.
-            for entry in store.glob("*.plan.json"):
-                entry.write_text("{\"format\": 999}")
-            fresh = RemotePlanCache(kv.url)
-            result = count_answers(PATH, small_db(), plan_cache=fresh)
-            assert result.count == 4
-            assert fresh.net_rejected >= 1
-
-    def test_kv_server_refuses_traversal_paths(self, tmp_path):
-        import urllib.error
-        import urllib.request
-        with PlanCacheKVServer(str(tmp_path)) as kv:
-            with pytest.raises(urllib.error.HTTPError):
-                urllib.request.urlopen(f"{kv.url}/plan/../secrets",
-                                       timeout=2)
-
-    def test_shard_servers_share_plans_through_one_endpoint(self, tmp_path):
-        with ShardServer(shards=1, cache_dir=str(tmp_path / "kv")) as hub:
-            assert hub.kv is not None
-            client = ShardClient(hub.address)
-            # maintain=False forces counts through the engine, which is
-            # the tier that consults (and populates) the plan cache.
-            client.configure("w/shard0", {"maintain": False})
-            client.submit_job("w/shard0", AttachDatabase("db", small_db()))
-            client.submit_job("w/shard0", CountRequest(PATH, "db"))
-            client.close()
-            with ShardServer(shards=1, cache_url=hub.kv.url) as leaf:
-                leaf_client = ShardClient(leaf.address)
-                leaf_client.configure("w/shard0", {"maintain": False})
-                leaf_client.submit_job("w/shard0",
-                                       AttachDatabase("db", small_db()))
-                leaf_client.submit_job("w/shard0", CountRequest(PATH, "db"))
-                stats = leaf_client.stats("w/shard0")
-                assert stats["plan_cache"]["net_hits"] >= 1
-                leaf_client.close()
+class TestSharedPlanDirectory:
+    def test_shard_servers_share_plans_through_one_directory(self, tmp_path):
+        cache_dir = str(tmp_path / "plans")
+        with ShardServer(shards=1, cache_dir=cache_dir) as first, \
+                ShardServer(shards=1, cache_dir=cache_dir) as second:
+            hits = []
+            for server in (first, second):
+                client = ShardClient(server.address)
+                # maintain=False forces counts through the engine, which
+                # is the tier that consults (and populates) the plan
+                # cache.
+                client.configure("w/shard0", {"maintain": False})
+                client.submit_job("w/shard0",
+                                  AttachDatabase("db", small_db()))
+                assert client.submit_job(
+                    "w/shard0", CountRequest(PATH, "db")).count == 4
+                hits.append(client.stats("w/shard0")["plan_cache"]
+                            ["disk_hits"])
+                client.close()
+            # The second server's first count reads the first's plan.
+            assert hits[1] >= 1
 
 
 # ----------------------------------------------------------------------
