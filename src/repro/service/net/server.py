@@ -314,7 +314,12 @@ class ShardServer:
             self._replies.move_to_end(client)
         if duplicate:
             return future.result()
-        reply = self._execute(request_id, request)
+        try:
+            reply = self._execute(request_id, request)
+        except BaseException as error:
+            # Resolve the future even here, or a retry would wait forever.
+            future.set_exception(error)
+            raise
         future.set_result(reply)
         return reply
 

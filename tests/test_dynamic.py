@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.counting.acyclic import count_acyclic
@@ -161,7 +161,10 @@ class TestIncrementalCounter:
 
 
 class TestRandomizedUpdateStreams:
+    # Seed 162 fills a relation (all 16 rows over the 4-value domain),
+    # so the stream must delete there: no absent row is left to insert.
     @given(seed=st.integers(min_value=0, max_value=5_000))
+    @example(seed=162)
     @settings(max_examples=10, deadline=None)
     def test_stream_matches_recount(self, seed):
         rng = random.Random(seed)
@@ -174,7 +177,8 @@ class TestRandomizedUpdateStreams:
         for _ in range(30):
             relation = rng.choice(["r", "s"])
             existing = sorted(set(database[relation].rows), key=repr)
-            if existing and rng.random() < 0.5:
+            full = len(existing) == 4 * 4
+            if existing and (full or rng.random() < 0.5):
                 update = Delete(relation, rng.choice(existing))
             else:
                 while True:

@@ -34,7 +34,7 @@ from hypothesis import strategies as st
 
 from repro.counting.plan_cache import PersistentPlanCache
 from repro.db import Database
-from repro.dynamic import Insert
+from repro.dynamic import Delete, Insert
 from repro.exceptions import ReproError
 from repro.query import parse_query
 from repro.service import (
@@ -436,13 +436,14 @@ class TestShardServer:
                 "d/shard0", CountRequest(PATH, "db")).count == 4 + 2
             client.close()
 
-    @pytest.mark.parametrize("kind", ["insert", "count"])
+    @pytest.mark.parametrize("kind", ["insert", "delete", "count"])
     def test_retry_of_a_job_past_the_client_timeout_waits_for_it(self, kind):
         # A job queued behind a stall outlives the client's timeout, so
         # the client resends the same id while the original is still
         # queued or running.  The retry must wait for the original's
         # reply: a second execution would re-insert the row (and fail
-        # with "already present") or count twice.
+        # with "already present"), re-delete it (and fail with "not
+        # present") or count twice.
         with ShardServer(shards=1, allow_chaos=True) as server:
             client = ShardClient(server.address)
             client.configure("o/shard0", {})
@@ -461,6 +462,8 @@ class TestShardServer:
                                     retries=8)
             if kind == "insert":
                 job = UpdateRequest("db", Insert("r", (5, 6)))
+            elif kind == "delete":
+                job = UpdateRequest("db", Delete("r", (1, 10)))
             else:
                 job = CountRequest(PATH, "db")
             reply = impatient.submit_job("o/shard0", job)
@@ -476,6 +479,10 @@ class TestShardServer:
                 assert reply["applied"] and reply["total_tuples"] == 7
                 checkpoint = client.checkpoint("o/shard0", "db")
                 assert checkpoint["relations"]["r"].count([5, 6]) == 1
+            elif kind == "delete":
+                assert reply["applied"] and reply["total_tuples"] == 5
+                checkpoint = client.checkpoint("o/shard0", "db")
+                assert [1, 10] not in checkpoint["relations"]["r"]
             else:
                 assert reply.count == 4
             impatient.close()
