@@ -114,10 +114,6 @@ CHAOS_TIMEOUT_MS = 1000.0
 STALL_MS = 1500.0
 #: The stall precedes the stalled writer's update of this round.
 STALL_ROUND = CHAOS_ROUNDS // 2
-#: Head start that lets the stall reach the shard's queue before the
-#: update does (a lost race shows as ``stall_deduped`` 0, failing the
-#: bar rather than passing it vacuously).
-STALL_ADMIT_S = 0.1
 
 #: Codec sizing: round trips per timed repeat (best of CODEC_REPEATS),
 #: and the job_from_wire calls of the parse-once bar.
@@ -408,7 +404,11 @@ def relation_rows(checkpoint: dict) -> dict:
 
 
 def stall_in_background(address: str, shard: str) -> threading.Thread:
-    """Occupy *shard* for :data:`STALL_MS` from a second client."""
+    """Occupy *shard* for :data:`STALL_MS` from a second client, and
+    return once the ready probe shows the stall admitted (or after
+    :data:`STALL_MS`; a stall that never reached the queue shows as
+    ``stall_deduped`` 0, failing the bar rather than passing it
+    vacuously)."""
     client = ShardClient(address, timeout_ms=4 * STALL_MS, retries=0)
 
     def stall() -> None:
@@ -419,7 +419,14 @@ def stall_in_background(address: str, shard: str) -> threading.Thread:
 
     thread = threading.Thread(target=stall, daemon=True)
     thread.start()
-    time.sleep(STALL_ADMIT_S)
+    probe = ShardClient(address)
+    try:
+        deadline = time.monotonic() + STALL_MS / 1e3
+        while (probe.probe("ready")["pending"].get(shard, 0) < 1
+               and time.monotonic() < deadline):
+            time.sleep(0.005)
+    finally:
+        probe.close()
     return thread
 
 

@@ -316,7 +316,7 @@ def _cmd_session(args: argparse.Namespace) -> int:
     for stream in streams:
         _apply_deadline_defaults(stream, args.deadline_ms,
                                  args.error_budget)
-    session_kwargs = {"maintain_reduced": not args.no_reduced}
+    session_kwargs = {}
     if args.maintainer_budget_mb is not None:
         # <= 0 means "explicitly unbounded" (overriding the env), never
         # a degenerate one-byte budget.
@@ -653,10 +653,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "shard/session in MB (cold maintainers spill "
                               "to checkpoints; 0 = unbounded; defaults to "
                               "$REPRO_MAINTAINER_BUDGET_MB)")
-    session.add_argument("--no-reduced", action="store_true",
-                         help="disable Theorem 3.7 reduction-based "
-                              "maintenance (quantified/cyclic shapes "
-                              "then recount through the engine)")
     session.add_argument("--no-compiled", action="store_true",
                          help="disable the compiled-plan execution tier")
     session.add_argument("--backend", default=None,

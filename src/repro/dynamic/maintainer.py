@@ -550,10 +550,10 @@ class MaintainerPool:
     on the same key share one DP — the "many jobs, few shapes" traffic
     the batch service targets, carried over to maintained counts.
     Shapes the direct DP rejects are maintained through the Theorem 3.7
-    reduction when ``reduced=True`` (the default); reduced maintainers
-    ride the same eviction, checkpoint-spill, and delta-journal
-    machinery — their provenance state pickles inside the same
-    envelope.
+    reduction (its #-decomposition search capped at
+    :data:`DEFAULT_REDUCED_WIDTH`); reduced maintainers ride the same
+    eviction, checkpoint-spill, and delta-journal machinery — their
+    provenance state pickles inside the same envelope.
 
     Residency is bounded two ways:
 
@@ -592,19 +592,11 @@ class MaintainerPool:
 
     def __init__(self, capacity: int = 64,
                  budget_bytes=BUDGET_FROM_ENV,
-                 spill_dir: Optional[str] = None,
-                 reduced: bool = True,
-                 reduced_max_width: int = DEFAULT_REDUCED_WIDTH):
+                 spill_dir: Optional[str] = None):
         self.capacity = capacity
         if budget_bytes is BUDGET_FROM_ENV:
             budget_bytes = maintainer_budget_from_env()
         self.budget_bytes: Optional[int] = budget_bytes
-        #: Maintain non-acyclic/quantified shapes through the Theorem
-        #: 3.7 reduction (:class:`~repro.dynamic.reduced.ReducedMaintainer`)
-        #: when the direct DP does not apply; *reduced_max_width* caps
-        #: the construction-time #-decomposition search.
-        self.reduced = reduced
-        self.reduced_max_width = reduced_max_width
         self._entries: "OrderedDict[tuple, SharedMaintainer]" = OrderedDict()
         self._spilled: Dict[tuple, _SpillRecord] = {}
         #: token -> original-space updates applied while one or more of
@@ -799,20 +791,17 @@ class MaintainerPool:
         """A fresh maintained DP for the canonical *query*: the direct
         join-tree DP when it applies, else the Theorem 3.7 reduction.
 
-        Raises :class:`NotAcyclicError` (reduction disabled) or
-        :class:`~repro.exceptions.DecompositionNotFoundError` (width
-        bound exceeded) for unmaintainable shapes — callers should
-        memoize the verdict per fingerprint.
+        Raises :class:`~repro.exceptions.DecompositionNotFoundError`
+        (width bound exceeded) for unmaintainable shapes — callers
+        should memoize the verdict per fingerprint.
         """
         try:
             return IncrementalCounter(query, database)
         except NotAcyclicError:
-            if not self.reduced:
-                raise
+            pass
         from .reduced import ReducedMaintainer  # import cycle: lazy
 
-        counter = ReducedMaintainer(query, database,
-                                    max_width=self.reduced_max_width)
+        counter = ReducedMaintainer(query, database)
         self.built_reduced += 1
         return counter
 
@@ -824,7 +813,7 @@ class MaintainerPool:
         (the session passes the plan cache's memoized form).  A resident
         entry is served as-is; a spilled entry is restored from its
         checkpoint plus the delta journal; only a genuinely unknown key
-        builds the DP from scratch — raising :class:`NotAcyclicError` or
+        builds the DP from scratch — raising
         :class:`~repro.exceptions.DecompositionNotFoundError` when the
         shape is not maintainable (see :meth:`_build_counter`), which
         callers should memoize per fingerprint.  Both bounds are

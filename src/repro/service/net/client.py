@@ -6,9 +6,10 @@ capped exponential-backoff retries.  Retries are safe for *every* op —
 not just idempotent reads — because a retry resends the **same request
 id** and the server deduplicates: a job whose reply was lost is answered
 from the server's reply memory, never re-executed.  Saturation
-(``shard_saturated`` replies) is handled separately: the job was *not*
-executed, so the client waits out the server's ``retry_after_ms`` hint
-and resubmits under a fresh id, up to a bounded patience.
+(``shard_saturated`` replies from the core's ``ShardWorker``; never for
+``stats``) is handled separately: the job was *not* executed, so the
+client waits out the server's ``retry_after_ms`` hint and resubmits
+under a fresh id, up to a bounded patience.
 
 :class:`RemoteShard` gives one server-side shard the interface of a
 local :class:`~repro.service.shard.SessionShard` (``execute``/

@@ -2,10 +2,11 @@
 
 A :class:`ShardServer` hosts any number of named
 :class:`~repro.service.shard.SessionShard` cores.  Each core is
-confined to its own single-worker executor — the queue *is* the
-serialization point, exactly as in the in-process shard modes — while
-connections are handled by one thread each, so many clients can talk to
-many shards of one server concurrently.
+confined to its own :class:`~repro.service.router.ShardWorker` — the
+same lane the in-process session runs its shards on; its queue *is*
+the serialization point — while connections are handled by one thread
+each, so many clients can talk to many shards of one server
+concurrently.
 
 Protocol (one request frame in, one response frame out; see
 :mod:`repro.service.net.frames` for the codec)::
@@ -32,12 +33,14 @@ dropped frame, a severed connection, a lost reply, or a client timeout
 on a slow job, which in turn is why the fault-injection harness can
 demand bit-identical results under chaos.
 
-Admission mirrors the in-process front end: with ``max_pending`` set, a
-shard whose queue is full rejects the request with a
-``shard_saturated`` error carrying a ``retry_after_ms`` hint (queue
-depth times the shard's smoothed completion latency), which the client
-reconstructs as a genuine
-:class:`~repro.service.router.ShardSaturatedError`.
+Admission is the in-process front end's own: with ``max_pending`` set,
+a core's :class:`~repro.service.router.ShardWorker` rejects a
+``submit``, ``checkpoint``, ``restore`` or ``stall`` whose queue is
+full with a ``shard_saturated`` error carrying a ``retry_after_ms``
+hint (queue depth times the core's smoothed completion latency), which
+the client reconstructs as a genuine
+:class:`~repro.service.router.ShardSaturatedError`.  ``stats`` is never
+admitted: it waits for the running job instead of being refused.
 """
 
 from __future__ import annotations
@@ -50,13 +53,13 @@ import sys
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from typing import Dict, List, Optional, Set, Tuple
 
 from ...counting.plan_cache import PersistentPlanCache, PlanCache
 from ...dynamic.maintainer import BUDGET_FROM_ENV
 from ...exceptions import ReproError
-from ..router import DEFAULT_RETRY_AFTER_MS, ShardSaturatedError
+from ..router import ShardWorker
 from ..session import parse_cache_stats
 from ..shard import SessionShard
 from .frames import (
@@ -78,27 +81,12 @@ REPLY_CACHE_SIZE = 1024
 
 #: Shard-core config keys a ``configure`` request may set.
 CONFIGURABLE_KEYS = frozenset({
-    "maintain", "maintainer_capacity", "maintainer_budget_bytes",
-    "maintainer_spill_dir", "maintain_reduced", "reduced_max_width",
+    "maintain", "maintainer_budget_bytes", "maintainer_spill_dir",
 })
 
 _READY_LINE = re.compile(
     r"shardserver listening on (?P<address>[^\s]+:\d+)"
 )
-
-
-class _ShardCore:
-    """One hosted shard: the core, its executor, and admission state."""
-
-    def __init__(self, index: int, name: str, shard: SessionShard):
-        self.index = index
-        self.name = name
-        self.shard = shard
-        self.pool = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix=f"shardcore-{index}"
-        )
-        self.pending = 0
-        self.latency_ms: Optional[float] = None
 
 
 class ShardServer:
@@ -116,7 +104,9 @@ class ShardServer:
         (``<session>/shard<i>``), so many sessions share one server
         without colliding.
     max_pending:
-        Per-core admission bound (``None`` admits unboundedly).
+        Per-core admission bound of each core's
+        :class:`~repro.service.router.ShardWorker` (``None`` admits
+        unboundedly).
     cache_dir:
         Plan spill directory; the server's shards share a
         :class:`~repro.counting.plan_cache.PersistentPlanCache` over it.
@@ -146,7 +136,7 @@ class ShardServer:
             raise ValueError(f"unknown shard defaults: {sorted(unknown)}")
         self._started_at = time.monotonic()
         self._lock = threading.Lock()
-        self._cores: Dict[str, _ShardCore] = {}
+        self._cores: Dict[str, ShardWorker] = {}
         self._core_counter = 0
         #: client id -> (request id, future reply) of its last request
         self._replies: "OrderedDict[str, Tuple[str, Future]]" = (
@@ -157,11 +147,11 @@ class ShardServer:
         self.frames_rejected = 0
         self.requests_served = 0
         self.requests_deduped = 0
-        #: Shard ``close()`` failures observed while releasing/draining.
-        #: A failed close is survivable (the shard is discarded either
-        #: way) but must not vanish: it is counted here and surfaced in
-        #: stats and drain replies, mirroring the close-error accounting
-        #: on in-process handles.
+        #: Close failures of the workers already released (or closed
+        #: with the server), summed from their own accounting.  A
+        #: failed close is survivable (the shard is discarded either
+        #: way) but must not vanish: it is surfaced in stats, release
+        #: and drain replies.
         self.close_errors = 0
         self.last_close_error: Optional[str] = None
 
@@ -193,7 +183,7 @@ class ShardServer:
         with self._lock:
             return sorted(self._cores)
 
-    def _core(self, name: str, config: Optional[dict] = None) -> _ShardCore:
+    def _core(self, name: str, config: Optional[dict] = None) -> ShardWorker:
         """The named core, created on first use (under the lock)."""
         with self._lock:
             core = self._cores.get(name)
@@ -213,35 +203,19 @@ class ShardServer:
             self._core_counter += 1
             shard = SessionShard(plan_cache=self.plan_cache,
                                  label=name, **kwargs)
-            core = _ShardCore(index, name, shard)
+            core = ShardWorker(shard, index, self.max_pending)
             self._cores[name] = core
             return core
 
-    def _retry_after_ms(self, core: _ShardCore) -> float:
-        if core.latency_ms is None:
-            return DEFAULT_RETRY_AFTER_MS
-        return max(core.pending * core.latency_ms, 1.0)
-
-    def _run_on_core(self, core: _ShardCore, fn, *args):
-        """Run *fn* on the core's executor with admission accounting."""
-        with self._lock:
-            if (self.max_pending is not None
-                    and core.pending >= self.max_pending):
-                raise ShardSaturatedError(
-                    core.index, core.pending, self._retry_after_ms(core)
-                )
-            core.pending += 1
-        started = time.monotonic()
-        try:
-            return core.pool.submit(fn, *args).result()
-        finally:
-            elapsed_ms = (time.monotonic() - started) * 1e3
+    def _close_core(self, name: str, core: ShardWorker) -> int:
+        """Close a core already removed from the table; its close
+        failures join the server totals.  Returns their number."""
+        core.close()
+        if core.close_errors:
             with self._lock:
-                core.pending -= 1
-                core.latency_ms = (
-                    elapsed_ms if core.latency_ms is None
-                    else 0.2 * elapsed_ms + 0.8 * core.latency_ms
-                )
+                self.close_errors += core.close_errors
+                self.last_close_error = f"{name}: {core.last_close_error}"
+        return core.close_errors
 
     # ------------------------------------------------------------------
     # Connection handling
@@ -375,11 +349,15 @@ class ShardServer:
     def _op_probe(self, request: dict) -> dict:
         kind = request.get("kind", "live")
         if kind == "ready":
+            # Depths are read off the workers, never through their
+            # queues: a probe answers while a core is busy.
             with self._lock:
                 ready = not self._draining and not self._closed
-                shards = sorted(self._cores)
+                pending = {name: core.pending
+                           for name, core in sorted(self._cores.items())}
                 draining = self._draining
-            return {"ready": ready, "draining": draining, "shards": shards}
+            return {"ready": ready, "draining": draining,
+                    "shards": list(pending), "pending": pending}
         if kind == "live":
             return {
                 "alive": True,
@@ -409,13 +387,12 @@ class ShardServer:
         name = self._shard_name(request)
         job = job_from_wire(request.get("job"))
         core = self._core(name)
-        result = self._run_on_core(core, core.shard.execute, job)
-        return result_to_wire(result)
+        return result_to_wire(core.submit(job).result())
 
     def _op_stats(self, request: dict) -> dict:
         name = self._shard_name(request)
         core = self._core(name)
-        stats = self._run_on_core(core, core.shard.stats)
+        stats = core.submit_stats().result()
         with self._lock:
             stats["server"] = {
                 "address": self.address,
@@ -439,8 +416,7 @@ class ShardServer:
         if not isinstance(database, str):
             raise ReproError("checkpoint names no database")
         core = self._core(name)
-        return self._run_on_core(core, core.shard.checkpoint_database,
-                                 database)
+        return core.call(core.target.checkpoint_database, database).result()
 
     def _op_restore(self, request: dict) -> dict:
         self._refuse_if_draining()
@@ -449,16 +425,11 @@ class ShardServer:
         if not isinstance(database, str):
             raise ReproError("restore names no database")
         core = self._core(name)
-        ack = self._run_on_core(core, core.shard.restore_database,
-                                database, request.get("payload"))
+        ack = core.call(core.target.restore_database, database,
+                        request.get("payload")).result()
         return {"database": database, "restored": True,
                 "total_tuples": ack["total_tuples"],
                 "replaced": ack["replaced"]}
-
-    def _record_close_error(self, shard_name: str, error: Exception) -> None:
-        with self._lock:
-            self.close_errors += 1
-            self.last_close_error = f"{shard_name}: {error}"
 
     def _op_release(self, request: dict) -> dict:
         shards = request.get("shards")
@@ -471,14 +442,9 @@ class ShardServer:
                 core = self._cores.pop(name, None)
             if core is None:
                 continue
-            try:
-                core.pool.submit(core.shard.close).result()
-            except Exception as error:
-                # The shard is discarded regardless, but the failure is
-                # accounted (server totals + this reply), not swallowed.
-                failed += 1
-                self._record_close_error(name, error)
-            core.pool.shutdown(wait=False)
+            # The shard is discarded regardless, but a failed close is
+            # accounted (server totals + this reply), not swallowed.
+            failed += self._close_core(name, core)
             released.append(name)
         reply = {"released": sorted(released)}
         if failed:
@@ -491,10 +457,8 @@ class ShardServer:
         with self._lock:
             self._draining = True
             cores = list(self._cores.values())
-        # Barrier through every core's queue: when these no-ops run, all
-        # previously queued jobs have finished.
         for core in cores:
-            core.pool.submit(lambda: None).result()
+            core.barrier()
         with self._lock:
             return {"drained": True, "shards": len(cores),
                     "close_errors": self.close_errors,
@@ -512,7 +476,7 @@ class ShardServer:
             raise ReproError("stall ms must be a number") from None
         stall_ms = min(max(stall_ms, 0.0), 60_000.0)
         core = self._core(name)
-        self._run_on_core(core, time.sleep, stall_ms / 1e3)
+        core.call(time.sleep, stall_ms / 1e3).result()
         return {"shard": name, "stalled_ms": stall_ms}
 
     # ------------------------------------------------------------------
@@ -545,7 +509,7 @@ class ShardServer:
             except OSError:
                 pass
         for core in cores:
-            core.pool.shutdown(wait=False, cancel_futures=True)
+            core.kill()
 
     def close(self) -> None:
         """Graceful shutdown: drain, close cores, stop listening."""
@@ -561,11 +525,7 @@ class ShardServer:
             connections = list(self._connections)
             self._connections.clear()
         for name, core in cores:
-            try:
-                core.pool.submit(core.shard.close).result()
-            except Exception as error:
-                self._record_close_error(name, error)
-            core.pool.shutdown(wait=False)
+            self._close_core(name, core)
         try:
             self._listener.close()
         except OSError:

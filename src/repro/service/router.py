@@ -74,11 +74,13 @@ DEFAULT_RETRY_AFTER_MS = 25.0
 class ShardSaturatedError(ReproError):
     """A shard's queue is at its admission bound; retry after a delay.
 
-    Raised by :meth:`MultiWriterSession.submit` when ``max_pending`` is
-    configured and the target shard already has that many jobs in
-    flight.  ``retry_after_ms`` estimates when a slot frees up (queue
-    depth times the shard's smoothed completion latency); the stream
-    runners honor it and resubmit, external callers should too.
+    Raised by :meth:`ShardWorker.call` — so by
+    :meth:`MultiWriterSession.submit`, and by a shard server's admitted
+    ops — when ``max_pending`` is configured and the shard already has
+    that many jobs in flight.  ``retry_after_ms`` estimates when a slot
+    frees up (queue depth times the shard's smoothed completion
+    latency); the stream runners honor it and resubmit, external
+    callers should too.
     """
 
     def __init__(self, shard: int, pending: int, retry_after_ms: float):
@@ -136,40 +138,108 @@ class SessionRouter:
 
 
 class ShardWorker:
-    """One shard confined to its serialization point.
+    """One shard confined to its serialization point, under admission.
 
     *target* is anything with ``execute(job)``, ``stats()`` and
     ``close()``: a local :class:`~repro.service.shard.SessionShard`
-    (``thread`` shards) or a :class:`~repro.service.net.client.
-    RemoteShard` (``tcp`` shards).  Every call runs on one private
-    worker thread, in submission order, so the jobs of one database
-    execute in the order they were submitted and a stats read never
-    races a mutation.
+    (``thread`` shards and the cores of a shard server) or a
+    :class:`~repro.service.net.client.RemoteShard` (``tcp`` shards).
+    Every call runs on one private worker thread, in submission order,
+    so the jobs of one database execute in the order they were
+    submitted and a stats read never races a mutation.
+
+    :meth:`call` is the admitted path of the in-process session and the
+    shard server alike: at most *max_pending* calls in flight (``None``:
+    unbounded), with an EWMA of their latency behind the
+    :meth:`retry_after_ms` hint.  Control calls (stats, barrier, close,
+    kill) bypass admission and do not feed the EWMA.
     """
 
-    def __init__(self, target):
+    def __init__(self, target, index: int = 0,
+                 max_pending: Optional[int] = None):
         self.target = target
+        self.index = index
+        self.max_pending = max_pending
         self._pool = ThreadPoolExecutor(max_workers=1,
-                                        thread_name_prefix="shard")
+                                        thread_name_prefix=f"shard{index}")
+        self._lock = threading.Lock()
+        self.pending = 0
+        self.rejected = 0
+        self._latency_ms: Optional[float] = None
         self.close_errors = 0
         self.last_close_error: Optional[str] = None
 
+    def retry_after_ms(self) -> float:
+        """Queue depth times the smoothed completion latency, or a
+        fixed hint before the first completion."""
+        if self._latency_ms is None:
+            return DEFAULT_RETRY_AFTER_MS
+        return max(self.pending * self._latency_ms, 1.0)
+
+    def call(self, fn, *args) -> Future:
+        """Run ``fn(*args)`` on the worker thread, admitted.
+
+        Raises :class:`ShardSaturatedError` *before* enqueueing when
+        ``max_pending`` calls are already in flight.
+        """
+        started = time.monotonic()
+        with self._lock:
+            pending = self.pending
+            if self.max_pending is not None and pending >= self.max_pending:
+                self.rejected += 1
+                raise ShardSaturatedError(self.index, pending,
+                                          self.retry_after_ms())
+            self.pending = pending + 1
+
+        def run():
+            try:
+                return fn(*args)
+            finally:
+                # Settled before the future resolves (a done-callback
+                # runs after waiters wake): a caller keeps its own slot.
+                elapsed_ms = (time.monotonic() - started) * 1e3
+                with self._lock:
+                    self.pending -= 1
+                    self._latency_ms = (
+                        elapsed_ms if self._latency_ms is None
+                        else 0.2 * elapsed_ms + 0.8 * self._latency_ms
+                    )
+
+        try:
+            return self._pool.submit(run)
+        except BaseException:
+            # Enqueue itself failed (the worker was closed concurrently):
+            # run will never settle, so release the slot here.
+            with self._lock:
+                self.pending -= 1
+            raise
+
     def submit(self, job: SessionJob) -> Future:
-        return self._pool.submit(self.target.execute, job)
+        return self.call(self.target.execute, job)
 
     def submit_stats(self) -> Future:
         return self._pool.submit(self.target.stats)
 
+    def barrier(self) -> None:
+        """Wait until every call queued before this one has finished."""
+        self._pool.submit(lambda: None).result()
+
     def close(self) -> None:
+        """Close the target after the queued calls, then stop."""
         try:
             self._pool.submit(self.target.close).result()
         except Exception as error:
             # A dying shard (or an unreachable server) must not abort
-            # the session shutdown — but the failure is counted, not
-            # dropped (see MultiWriterSession.stats()).
+            # the shutdown — but the failure is counted, not dropped
+            # (see MultiWriterSession.stats() and ShardServer).
             self.close_errors += 1
             self.last_close_error = repr(error)
         self._pool.shutdown()
+
+    def kill(self) -> None:
+        """Stop at once: cancel queued calls (a killed worker is
+        discarded, slots and all) and drop the target unclosed."""
+        self._pool.shutdown(wait=False, cancel_futures=True)
 
 
 class MultiWriterSession:
@@ -196,22 +266,19 @@ class MultiWriterSession:
         persistent when a cache directory is configured).  TCP shards
         use their servers' caches, so an explicit *plan_cache* is
         rejected there.
-    maintain, maintainer_capacity, maintainer_budget_bytes,
-    maintainer_spill_dir, maintain_reduced:
+    maintain, maintainer_budget_bytes, maintainer_spill_dir:
         Forwarded to every shard's
         :class:`~repro.dynamic.maintainer.MaintainerPool`; the byte
         budget and the spill directory are **per shard** (each shard
         checkpoints into its own subdirectory when a directory is
-        given).  ``maintain_reduced`` toggles Theorem 3.7
-        reduction-based maintenance of bounded-#htw shapes (on by
-        default).
+        given).
     max_pending:
-        Per-shard admission bound.  When set, :meth:`submit` rejects a
-        job whose target shard already has ``max_pending`` jobs in
-        flight, raising :class:`ShardSaturatedError` with a
-        ``retry_after_ms`` hint (queue depth times the shard's smoothed
-        completion latency).  ``None`` (the default) admits unboundedly,
-        the historical behavior.
+        Per-shard admission bound, enforced by each shard's
+        :class:`ShardWorker`.  When set, :meth:`submit` rejects a job
+        whose target shard already has ``max_pending`` jobs in flight,
+        raising :class:`ShardSaturatedError` with a ``retry_after_ms``
+        hint (queue depth times the shard's smoothed completion
+        latency).  ``None`` (the default) admits unboundedly.
     """
 
     def __init__(self, databases: Optional[Dict[str, Database]] = None,
@@ -219,10 +286,8 @@ class MultiWriterSession:
                  plan_cache: Optional[PlanCache] = None,
                  cache_dir: Optional[str] = None,
                  maintain: bool = True,
-                 maintainer_capacity: int = 64,
                  maintainer_budget_bytes=BUDGET_FROM_ENV,
                  maintainer_spill_dir: Optional[str] = None,
-                 maintain_reduced: bool = True,
                  max_pending: Optional[int] = None,
                  shard_addrs: Optional[Sequence[str]] = None):
         if shard_mode not in (None, *SHARD_MODES):
@@ -268,20 +333,11 @@ class MultiWriterSession:
         self._handles: List[ShardWorker] = []
         self._closed = False
         self._close_lock = threading.Lock()
-        # Admission state: per-shard in-flight counters plus an EWMA of
-        # completion latency (the retry-after estimator).  One lock
-        # guards both; submit touches it briefly, never while a job runs.
-        self._admission_lock = threading.Lock()
-        self._pending = [0] * self.shards
-        self._latency_ms: List[Optional[float]] = [None] * self.shards
-        self._rejected = 0
         if shard_mode == "tcp":
             from .net import RemoteShard
             self.plan_cache = None  # server-side caches; see stats()
             self.shard_namespace: Optional[str] = uuid.uuid4().hex[:12]
-            config = {"maintain": maintain,
-                      "maintainer_capacity": maintainer_capacity,
-                      "maintain_reduced": maintain_reduced}
+            config = {"maintain": maintain}
             if maintainer_budget_bytes is not BUDGET_FROM_ENV:
                 config["maintainer_budget_bytes"] = maintainer_budget_bytes
 
@@ -304,16 +360,15 @@ class MultiWriterSession:
                     plan_cache=plan_cache,
                     cache_dir=cache_dir,
                     maintain=maintain,
-                    maintainer_capacity=maintainer_capacity,
                     maintainer_budget_bytes=maintainer_budget_bytes,
                     maintainer_spill_dir=spill,
-                    maintain_reduced=maintain_reduced,
                     label=f"shard{index}",
                 )
         try:
             for index in range(self.shards):
                 spill = self._shard_spill_dir(maintainer_spill_dir, index)
-                self._handles.append(ShardWorker(make_shard(index, spill)))
+                self._handles.append(ShardWorker(
+                    make_shard(index, spill), index, max_pending))
             for name, database in (databases or {}).items():
                 self.submit(AttachDatabase(name, database)).result()
         except BaseException:
@@ -337,15 +392,6 @@ class MultiWriterSession:
         """The shard index owning *database_name*."""
         return self._router.shard_of(database_name)
 
-    def _retry_after_ms(self, shard: int, pending: int) -> float:
-        """Estimated wait for a slot on *shard* with *pending* jobs
-        queued: depth times the smoothed completion latency, or a fixed
-        hint before the first completion has been observed."""
-        latency = self._latency_ms[shard]
-        if latency is None:
-            return DEFAULT_RETRY_AFTER_MS
-        return max(pending * latency, 1.0)
-
     def submit(self, job: SessionJob) -> Future:
         """Enqueue *job* on its database's shard; thread-safe.
 
@@ -359,42 +405,13 @@ class MultiWriterSession:
         """
         if self._closed:
             raise ReproError("session is closed")
-        shard = self._router.shard_for_job(job)
-        now = time.monotonic()
-        with self._admission_lock:
-            pending = self._pending[shard]
-            if self.max_pending is not None and pending >= self.max_pending:
-                self._rejected += 1
-                raise ShardSaturatedError(
-                    shard, pending, self._retry_after_ms(shard, pending)
-                )
-            self._pending[shard] = pending + 1
+        worker = self._handles[self._router.shard_for_job(job)]
         # Deadline-aware jobs carry their enqueue instant so the shard
         # can charge queue wait against the deadline (see
         # SessionShard.engine_job).
         if getattr(job, "deadline_ms", None) is not None:
-            job.submitted_at = now
-
-        def settle(_: Future) -> None:
-            elapsed_ms = (time.monotonic() - now) * 1e3
-            with self._admission_lock:
-                self._pending[shard] -= 1
-                previous = self._latency_ms[shard]
-                self._latency_ms[shard] = (
-                    elapsed_ms if previous is None
-                    else 0.2 * elapsed_ms + 0.8 * previous
-                )
-
-        try:
-            future = self._handles[shard].submit(job)
-        except BaseException:
-            # Enqueue itself failed (e.g. a session closed concurrently):
-            # the settle callback will never run, so release the slot.
-            with self._admission_lock:
-                self._pending[shard] -= 1
-            raise
-        future.add_done_callback(settle)
-        return future
+            job.submitted_at = time.monotonic()
+        return worker.submit(job)
 
     def _submit_with_retry(self, job: SessionJob) -> Future:
         """``submit``, sleeping out :class:`ShardSaturatedError` retry
@@ -513,9 +530,6 @@ class MultiWriterSession:
         databases = sorted(
             name for shard in per_shard for name in shard["databases"]
         )
-        with self._admission_lock:
-            pending = list(self._pending)
-            rejected = self._rejected
         return {
             "shards": self.shards,
             "shard_mode": self.shard_mode,
@@ -526,8 +540,9 @@ class MultiWriterSession:
             "shard_addrs": self.shard_addrs,
             **totals,
             "max_pending": self.max_pending,
-            "pending": pending,
-            "rejected_submissions": rejected,
+            "pending": [handle.pending for handle in self._handles],
+            "rejected_submissions": sum(handle.rejected
+                                        for handle in self._handles),
             "close_errors": sum(handle.close_errors
                                 for handle in self._handles),
             "per_shard": per_shard,

@@ -119,10 +119,8 @@ class CountingSession(SessionShard):
     configurations.  ``maintainer_budget_bytes`` caps the resident
     maintainer DP bytes (cold maintainers spill to checkpoints and
     restore by replaying post-checkpoint deltas; see
-    :class:`~repro.dynamic.maintainer.MaintainerPool`).
-    ``maintain_reduced=False`` narrows the maintained class back to
-    quantifier-free acyclic shapes (bounded-#htw shapes then recount
-    through the engine instead of riding the Theorem 3.7 reduction).
+    :class:`~repro.dynamic.maintainer.MaintainerPool`).  Bounded-#htw
+    shapes ride the Theorem 3.7 reduction instead of recounting.
 
     The sharded, multi-writer front end is
     :class:`~repro.service.router.MultiWriterSession`.

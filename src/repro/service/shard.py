@@ -18,7 +18,8 @@ fallback, and two front ends are built from it:
 * :class:`~repro.service.router.MultiWriterSession` — the sharded
   front end hash-partitions databases onto N shards, each confined to
   its own :class:`~repro.service.router.ShardWorker` (locally, or on a
-  shard server), so writer streams to distinct databases execute in
+  shard server, which runs each hosted shard on a ``ShardWorker`` of
+  its own), so writer streams to distinct databases execute in
   parallel while same-database ordering is preserved.
 
 A shard is **not** thread-safe; its owner must serialize calls (both
@@ -35,11 +36,7 @@ from ..counting.engine import CountResult
 from ..counting.plan_cache import PlanCache, known_content_tag
 from ..db.database import Database
 from ..db.io import database_from_dict, database_to_dict
-from ..dynamic.maintainer import (
-    BUDGET_FROM_ENV,
-    DEFAULT_REDUCED_WIDTH,
-    MaintainerPool,
-)
+from ..dynamic.maintainer import BUDGET_FROM_ENV, MaintainerPool
 from ..dynamic.reduced import ReducedMaintainer
 from ..dynamic.updates import Insert, Update, apply_update
 from ..exceptions import (
@@ -62,18 +59,15 @@ class SessionShard:
         The shard's own :class:`CountingService` engine fallback.
         Thread shards share one plan cache; a shard on a shard server
         uses its server's.
-    maintain, maintainer_capacity, maintainer_budget_bytes,
-    maintainer_spill_dir:
-        The maintained-path knobs: the pool's entry-count bound, its
-        byte budget (``None`` = ``$REPRO_MAINTAINER_BUDGET_MB`` or
-        unbounded), and where cold maintainers checkpoint.
-    maintain_reduced, reduced_max_width:
-        Maintain bounded-#htw shapes (quantified/cyclic) through the
-        Theorem 3.7 reduction
-        (:class:`~repro.dynamic.reduced.ReducedMaintainer`); the width
-        bound caps the construction-time #-decomposition search.
-        ``maintain_reduced=False`` restores the quantifier-free-acyclic
-        -only maintained class (those shapes then recount).
+    maintain, maintainer_budget_bytes, maintainer_spill_dir:
+        The maintained-path knobs: whether counts are maintained at
+        all, the pool's byte budget (``None`` = unbounded; the default
+        consults ``$REPRO_MAINTAINER_BUDGET_MB``), and where cold
+        maintainers checkpoint.  Bounded-#htw shapes (quantified or
+        cyclic) are maintained through the Theorem 3.7 reduction
+        (:class:`~repro.dynamic.reduced.ReducedMaintainer`), whose
+        construction-time #-decomposition search is capped at
+        :data:`~repro.dynamic.maintainer.DEFAULT_REDUCED_WIDTH`.
     label:
         A display name surfaced in :meth:`stats` (``"shard0"``, ...).
     """
@@ -82,11 +76,8 @@ class SessionShard:
                  plan_cache: Optional[PlanCache] = None,
                  cache_dir: Optional[str] = None,
                  maintain: bool = True,
-                 maintainer_capacity: int = 64,
                  maintainer_budget_bytes=BUDGET_FROM_ENV,
                  maintainer_spill_dir: Optional[str] = None,
-                 maintain_reduced: bool = True,
-                 reduced_max_width: int = DEFAULT_REDUCED_WIDTH,
                  label: Optional[str] = None):
         self._service = CountingService(plan_cache=plan_cache,
                                         cache_dir=cache_dir)
@@ -95,13 +86,9 @@ class SessionShard:
         self.label = label
         self._databases: Dict[str, Database] = {}
         self._maintainers = MaintainerPool(
-            capacity=maintainer_capacity,
             budget_bytes=maintainer_budget_bytes,
             spill_dir=maintainer_spill_dir,
-            reduced=maintain_reduced,
-            reduced_max_width=reduced_max_width,
         )
-        self.maintain_reduced = maintain_reduced
         #: Updates applied to a database but not yet folded into its
         #: maintainers (delta batching: one propagation per *read*).
         self._pending_deltas: Dict[str, List[Update]] = {}
@@ -341,15 +328,6 @@ class SessionShard:
                 raise ReproError(
                     f"{request.query.name}: method 'maintained' requested "
                     f"but this session was created with maintain=False"
-                )
-            if not self.maintain_reduced:
-                # Do not misdiagnose the shape: with the reduction
-                # disabled, a perfectly reducible query lands here too.
-                raise NotAcyclicError(
-                    f"{request.query.name}: method 'maintained' requires "
-                    f"a quantifier-free acyclic query on this session "
-                    f"(reduction-based maintenance is disabled: "
-                    f"maintain_reduced=False)"
                 )
             raise NotAcyclicError(
                 f"{request.query.name}: method 'maintained' requires a "

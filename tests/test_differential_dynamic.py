@@ -198,17 +198,16 @@ class TestDifferentialReplayPooled:
         assert counts == expected
 
     def test_modes_agree_job_for_job(self):
-        """Maintained, engine-only and acyclic-only routing agree with
-        each other and with the sequential recounts."""
+        """Maintained and engine-only routing agree with each other
+        and with the sequential recounts."""
         outcomes = []
-        for options in ({}, {"maintain": False},
-                        {"maintain_reduced": False}):
+        for options in ({}, {"maintain": False}):
             databases, stream, expected = self._stream_jobs(seed=11)
             with CountingSession(databases=databases, **options) as session:
                 results = session.run_stream(stream)
             outcomes.append([result.count for result in results
                              if hasattr(result, "count")])
-        assert outcomes == [expected] * 3
+        assert outcomes == [expected] * 2
 
 
 # ----------------------------------------------------------------------
@@ -508,12 +507,6 @@ class TestDifferentialReducedMaintenance:
         stats = replay_reduced_stream(seed, maintainer_budget_bytes=1)
         assert stats["maintainers"]["spilled"] > 0
         assert stats["reduced_counts"] > 0
-
-    def test_agreement_with_reduction_disabled(self):
-        """maintain_reduced=False: same answers, engine path."""
-        stats = replay_reduced_stream(7, maintain_reduced=False)
-        assert stats["reduced_counts"] == 0
-        assert stats["engine_counts"] > 0
 
     def _reduced_stream_jobs(self, seed: int, steps: int = 10):
         rng = random.Random(seed)

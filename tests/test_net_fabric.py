@@ -82,6 +82,17 @@ def small_db() -> Database:
     })
 
 
+def wait_until_admitted(client: ShardClient, shard: str,
+                        timeout_s: float = 5.0) -> bool:
+    """Poll the ready probe until *shard* has a job in flight."""
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        if client.probe("ready")["pending"].get(shard, 0) >= 1:
+            return True
+        time.sleep(0.01)
+    return False
+
+
 def drain_frames(decoder: FrameDecoder) -> list:
     """Every decodable frame left in *decoder* (errors propagate)."""
     frames = []
@@ -381,7 +392,7 @@ class TestShardServer:
             def explode():
                 raise RuntimeError("spill dir vanished")
 
-            server._cores["e/shard0"].shard.close = explode
+            server._cores["e/shard0"].target.close = explode
             reply = client.release(["e/shard0"])
             assert reply["released"] == ["e/shard0"]
             assert reply["close_errors"] == 1
@@ -408,7 +419,7 @@ class TestShardServer:
         def explode():
             raise RuntimeError("broken pipe to spill")
 
-        server._cores["f/shard0"].shard.close = explode
+        server._cores["f/shard0"].target.close = explode
         client.close()
         server.close()
         assert server.close_errors == 1
@@ -453,11 +464,8 @@ class TestShardServer:
             send_frame(blocker._connected(),
                        {"id": blocker._next_id(), "op": "stall",
                         "shard": "o/shard0", "ms": 400})
-            core = server._core("o/shard0")
-            deadline = time.monotonic() + 5
-            while core.pending < 1 and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert core.pending >= 1, "stall was never admitted"
+            assert wait_until_admitted(client, "o/shard0"), \
+                "stall was never admitted"
             impatient = ShardClient(server.address, timeout_ms=100,
                                     retries=8)
             if kind == "insert":
@@ -593,16 +601,58 @@ class TestShardServer:
                         "ms": 3000})
             # Wait for the stall to be *admitted* (pending slot taken)
             # before submitting, so the count cannot race it for the
-            # single slot — the server is in-process, so observe it.
-            core = server._core("s/shard0")
-            deadline = time.monotonic() + 5
-            while core.pending < 1 and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert core.pending >= 1, "stall was never admitted"
+            # single slot: the ready probe reports the depth.
+            assert wait_until_admitted(client, "s/shard0"), \
+                "stall was never admitted"
             with pytest.raises(ShardSaturatedError) as rejected:
                 client.submit_job("s/shard0", CountRequest(PATH, "db"),
                                   saturation_patience_ms=0.0)
             assert rejected.value.retry_after_ms > 0
+            blocker.close()
+            client.close()
+
+    def test_saturated_shard_still_reports_stats(self):
+        # Stats are a control call: they wait for the running job
+        # instead of taking (or being refused) an admission slot.
+        with ShardServer(shards=1, max_pending=1,
+                         allow_chaos=True) as server:
+            client = ShardClient(server.address)
+            client.configure("q/shard0", {})
+            blocker = ShardClient(server.address)
+            send_frame(blocker._connected(),
+                       {"id": blocker._next_id(), "op": "stall",
+                        "shard": "q/shard0", "ms": 300})
+            # Observed in-process, so the check does not lean on the
+            # ready probe's depth map.
+            core = server._cores["q/shard0"]
+            deadline = time.monotonic() + 5
+            while core.pending < 1 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert core.pending == 1, "stall was never admitted"
+            stats = client.stats("q/shard0")
+            assert stats["server"]["max_pending"] == 1
+            assert stats["server"]["pending"] == 0  # the stall finished
+            blocker.close()
+            client.close()
+
+    def test_ready_probe_reports_pending_without_queueing(self):
+        with ShardServer(shards=1, allow_chaos=True) as server:
+            client = ShardClient(server.address)
+            client.configure("w/shard0", {})
+            assert client.probe("ready")["pending"] == {
+                "shard0": 0, "w/shard0": 0}
+            blocker = ShardClient(server.address)
+            send_frame(blocker._connected(),
+                       {"id": blocker._next_id(), "op": "stall",
+                        "shard": "w/shard0", "ms": 400})
+            # The probe answers while the stall runs: it reads the
+            # depth off the worker instead of queueing behind it.
+            deadline = time.monotonic() + 5
+            pending = client.probe("ready")["pending"]
+            while pending["w/shard0"] == 0 and time.monotonic() < deadline:
+                time.sleep(0.01)
+                pending = client.probe("ready")["pending"]
+            assert pending == {"shard0": 0, "w/shard0": 1}
             blocker.close()
             client.close()
 
@@ -755,7 +805,7 @@ class TestClientRetries:
         try:
             with pytest.raises(TransportError):
                 MultiWriterSession({on_live: small_db(),
-                                    on_dead: small_db()},
+                                    on_dead: small_db()}, shards=2,
                                    shard_addrs=[live.address, dead_address])
             # No "<namespace>/shard0" left behind, only the fleet's own.
             assert live.shard_names() == fleet_shards

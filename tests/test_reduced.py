@@ -387,16 +387,6 @@ class TestReducedMaintainerPool:
         assert pool.stats()["restored"] >= 1
         pool.close()
 
-    def test_reduced_disabled_pool_raises_for_quantified(self):
-        from repro.exceptions import NotAcyclicError
-
-        rng = random.Random(2)
-        database = seed_database(rng)
-        pool = MaintainerPool(reduced=False)
-        with pytest.raises(NotAcyclicError):
-            pool.counter_for("db", QUANT, database, self._form(QUANT))
-        pool.close()
-
     def test_stats_report_reduced_entries(self):
         rng = random.Random(8)
         database = seed_database(rng)

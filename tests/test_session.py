@@ -18,7 +18,7 @@ from repro.cli import main
 from repro.counting.engine import count_answers
 from repro.db import Database
 from repro.dynamic import Delete, IncrementalCounter, Insert, MaintainerPool
-from repro.exceptions import NotAcyclicError, ReproError
+from repro.exceptions import ReproError
 from repro.query import parse_query
 from repro.query.canonical import canonical_form, random_renaming
 from repro.service import (
@@ -155,14 +155,6 @@ class TestMaintainerRouting:
             assert session.reduced_counts == 1
             assert session.engine_counts == 0
 
-    def test_cyclic_shape_falls_back_with_reduction_disabled(self):
-        with CountingSession(databases={"main": path_database()},
-                             maintain_reduced=False) as session:
-            result = session.count(CountRequest(CYCLIC, "main"))
-            assert result.strategy != "maintained"
-            assert session.engine_counts == 1
-            assert session.maintained_counts == 0
-
     def test_forced_maintained_method_on_cyclic_now_serves(self):
         with CountingSession(databases={"main": path_database()}) as session:
             result = session.count(
@@ -170,13 +162,6 @@ class TestMaintainerRouting:
             assert result.strategy == "maintained"
             assert result.count == count_answers(
                 CYCLIC, path_database()).count
-
-    def test_forced_maintained_on_cyclic_raises_without_reduction(self):
-        with CountingSession(databases={"main": path_database()},
-                             maintain_reduced=False) as session:
-            with pytest.raises(NotAcyclicError):
-                session.count(
-                    CountRequest(CYCLIC, "main", method="maintained"))
 
     def test_forced_maintained_with_maintenance_disabled_says_so(self):
         """maintain=False must not be misreported as a shape problem."""

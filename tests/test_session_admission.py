@@ -9,6 +9,7 @@ stats stubs) instead of silently swallowed.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -20,6 +21,7 @@ from repro.service import (
     CountRequest,
     MultiWriterSession,
     ShardSaturatedError,
+    ShardWorker,
     UpdateRequest,
 )
 from repro.dynamic import Insert
@@ -202,3 +204,72 @@ class TestDeadlineUnderLoad:
         finally:
             stall.set()
             session.close()
+
+
+class _Idle:
+    def close(self) -> None:
+        pass
+
+
+class TestShardWorkerLane:
+    def test_concurrent_calls_never_overrun_the_bound(self):
+        """Many submitters race one lane: the depth never exceeds the
+        bound, and every call is either admitted or counted rejected."""
+        worker = ShardWorker(_Idle(), 0, max_pending=3)
+        deepest = []
+        admitted = []
+        start = threading.Barrier(8)
+
+        def submitter() -> None:
+            start.wait(timeout=10)
+            for _ in range(200):
+                try:
+                    admitted.append(worker.call(
+                        lambda: deepest.append(worker.pending)))
+                except ShardSaturatedError as saturated:
+                    assert saturated.pending == 3
+
+        threads = [threading.Thread(target=submitter) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for future in admitted:
+            future.result(timeout=10)
+        worker.close()
+        assert len(admitted) + worker.rejected == 8 * 200
+        assert 1 <= max(deepest) <= 3
+        assert worker.pending == 0
+
+    def test_a_sequential_caller_is_never_refused_its_own_slot(self):
+        """The slot is released before the result is visible: under
+        forced thread switching, back-to-back calls at max_pending=1
+        are all admitted."""
+        worker = ShardWorker(_Idle(), 0, max_pending=1)
+        spinning = threading.Event()
+        spinning.set()
+
+        def spin() -> None:
+            while spinning.is_set():
+                pass
+
+        spinner = threading.Thread(target=spin)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        spinner.start()
+        try:
+            for _ in range(5000):
+                worker.call(int).result(timeout=10)
+        finally:
+            spinning.clear()
+            sys.setswitchinterval(interval)
+            spinner.join(timeout=10)
+            worker.close()
+        assert not spinner.is_alive()
+        assert worker.rejected == 0
