@@ -106,8 +106,9 @@ def shards_snapshot() -> dict:
 
 def reduced_snapshot() -> dict:
     """The reduction-based maintenance numbers (bench_reduced):
-    maintained quantified/cyclic streams vs recompute-per-count, and the
-    spill-forced reduced-session correctness/cap check."""
+    maintained quantified/cyclic streams vs recompute-per-count, the
+    spill-forced reduced-session correctness/cap check, the O(delta)
+    repair bar and the construction bar (``build_ms`` per shape)."""
     return _load_bench_module("bench_reduced").snapshot()
 
 
@@ -174,6 +175,7 @@ _HEADLINES = (
     ("session_speedup", ("session", "session_speedup")),
     ("shard_speedup", ("shards", "shard_speedup")),
     ("reduced_speedup", ("reduced", "reduced_speedup")),
+    ("reduced_build_ms", ("reduced", "build_ms", "triangle")),
     ("compiled_speedup_geomean",
      ("compiled", "compiled_speedup_geomean")),
     ("projected_path3_ad_ms",
@@ -316,6 +318,16 @@ def main(argv=None) -> int:
             failures += 1
             print("[bench]   FAILED (spill-forced reduced session broke "
                   "correctness or its byte cap)", flush=True)
+        print(f"[bench] reduced build: triangle "
+              f"{snapshot['reduced']['build_ms']['triangle']}ms vs "
+              f"{snapshot['reduced']['build_reference_ms']['triangle']}ms "
+              f"per-row reference "
+              f"({snapshot['reduced']['build_speedup']['triangle']}x)",
+              flush=True)
+        if not snapshot["reduced"]["meets_reduced_build_bar"]:
+            failures += 1
+            print("[bench]   FAILED (triangle maintainer construction "
+                  "below the 2x bar)", flush=True)
         snapshot["compiled"] = compiled_snapshot()
         print(f"[bench] compiled: "
               f"{snapshot['compiled']['compiled_speedup_geomean']}x geomean "

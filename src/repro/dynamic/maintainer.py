@@ -33,7 +33,9 @@ from __future__ import annotations
 import os
 import tempfile
 from collections import OrderedDict
-from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple,
+)
 
 from ..db.algebra import _row_getter
 from ..db.database import Database
@@ -116,19 +118,66 @@ def _atom_match(atom: Atom, row: Row) -> Optional[Row]:
     return tuple(binding[v] for v in schema)
 
 
+class AtomMatcher:
+    """One atom's :func:`_atom_match`, compiled once.
+
+    When every term is a distinct variable the match never fails and is
+    a fixed column permutation: the identity when the terms already
+    follow the sorted variable schema, else one
+    :func:`~repro.db.algebra._row_getter`.  A whole relation then
+    matches in C — the frozenset of rows as-is, or one ``map`` of the
+    getter — and the map is injective, so every bag row has exactly one
+    source row.  Atoms with constants or repeated variables fall back to
+    the general per-row check.
+
+    Holds an extractor closure: owners drop it from pickled checkpoints
+    and compile it again on restore.
+    """
+
+    __slots__ = ("atom", "plain", "match")
+
+    def __init__(self, atom: Atom):
+        self.atom = atom
+        terms = atom.terms
+        #: Every term a distinct variable: each row matches, injectively.
+        self.plain = (all(isinstance(term, Variable) for term in terms)
+                      and len(set(terms)) == len(terms))
+        if not self.plain:
+            self.match = lambda row: _atom_match(atom, row)  # noqa: E731
+            return
+        order = tuple(sorted(range(len(terms)),
+                             key=lambda i: terms[i].name))
+        if order == tuple(range(len(terms))):
+            # The identity: ``tuple`` hands a tuple row back unchanged.
+            self.match = tuple
+        else:
+            self.match = _row_getter(order)
+
+    def match_rows(self, rows: Iterable[Row]) -> Iterable[Row]:
+        """The bag rows of every matching row in *rows* (repeats are
+        possible only when the atom is not :attr:`plain`)."""
+        if not self.plain:
+            return [bag_row for bag_row in map(self.match, rows)
+                    if bag_row is not None]
+        if self.match is tuple:
+            return rows
+        return map(self.match, rows)
+
+
 class _Vertex:
     """Mutable per-vertex state of the materialized DP."""
 
     __slots__ = ("index", "schema", "atoms", "atom_rows", "parent",
                  "children", "counts", "shared_with_parent",
                  "child_positions", "agg_cache", "parent_key_of",
-                 "child_key_of")
+                 "child_key_of", "matchers")
 
-    #: Slots carrying :func:`~repro.db.algebra._row_getter` extractors —
-    #: compiled once per tree wiring, excluded from pickled checkpoints
-    #: (the zero/one-position getters are lambdas) and relinked from the
-    #: position data on restore.
-    _GETTER_SLOTS = ("parent_key_of", "child_key_of")
+    #: Slots carrying :func:`~repro.db.algebra._row_getter` extractors
+    #: and :class:`AtomMatcher`\ s — compiled once per tree wiring,
+    #: excluded from pickled checkpoints (the zero/one-position getters
+    #: are lambdas) and relinked from the position data and atoms on
+    #: restore.
+    _GETTER_SLOTS = ("parent_key_of", "child_key_of", "matchers")
 
     def __init__(self, index: int, schema: Tuple[Variable, ...],
                  atoms: List[Atom]):
@@ -153,7 +202,9 @@ class _Vertex:
         self.link_getters()
 
     def link_getters(self) -> None:
-        """(Re)compile the key extractors from the position data."""
+        """(Re)compile the key extractors from the position data, and
+        the atoms' matchers."""
+        self.matchers = [AtomMatcher(atom) for atom in self.atoms]
         self.parent_key_of = _row_getter(self.shared_with_parent)
         self.child_key_of = {
             child: _row_getter(positions)
@@ -266,12 +317,16 @@ class IncrementalCounter:
 
     def _load(self, database: Database) -> None:
         for vertex in self._vertices:
-            for atom_index, atom in enumerate(vertex.atoms):
+            for atom_index, matcher in enumerate(vertex.matchers):
+                bag_rows = matcher.match_rows(
+                    database[matcher.atom.relation].rows
+                )
+                if matcher.plain:
+                    vertex.atom_rows[atom_index] = dict.fromkeys(bag_rows, 1)
+                    continue
                 matches = vertex.atom_rows[atom_index]
-                for db_row in database[atom.relation]:
-                    bag_row = _atom_match(atom, db_row)
-                    if bag_row is not None:
-                        matches[bag_row] = matches.get(bag_row, 0) + 1
+                for bag_row in bag_rows:
+                    matches[bag_row] = matches.get(bag_row, 0) + 1
 
     # ------------------------------------------------------------------
     # The DP
@@ -334,8 +389,7 @@ class IncrementalCounter:
         dirty: List[Tuple[int, Row]] = []
         for vertex_index, atom_index in touched:
             vertex = self._vertices[vertex_index]
-            atom = vertex.atoms[atom_index]
-            bag_row = _atom_match(atom, update.row)
+            bag_row = vertex.matchers[atom_index].match(update.row)
             if bag_row is None:
                 continue
             matches = vertex.atom_rows[atom_index]

@@ -16,7 +16,14 @@ The reduction runs **once**, at construction:
    witness view's source atoms plus the hosted core atoms, each with its
    matched rows and mutable hash indexes — and a witness-count multiset
    ``counts[bag_row] = |sigma_{bag_row}(join of parts)|`` mapping base
-   tuples to the bag rows they support;
+   tuples to the bag rows they support.  A bag keeps one part per atom
+   *occurrence*, even where a hosted core atom repeats a source atom,
+   because the delta path below telescopes over them.  Construction
+   folds each bag's *distinct* atoms once (joining a set with an
+   identical copy of itself is the identity, so the counts are those of
+   the fold over every part), and matching is compiled once per atom
+   (:class:`~repro.dynamic.maintainer.AtomMatcher`: a whole relation
+   matches in C unless the atom has constants or repeated variables);
 3. build the reduced quantifier-free acyclic instance: one relation per
    bag holding the *globally consistent* (full-reduced) bag rows
    projected onto the free variables, counted by an inner
@@ -72,8 +79,8 @@ from .maintainer import (
     CELL_BYTES,
     DEFAULT_REDUCED_WIDTH,
     VERTEX_BASE_BYTES,
+    AtomMatcher,
     IncrementalCounter,
-    _atom_match,
 )
 from .updates import Delete, Insert, Update
 
@@ -90,7 +97,7 @@ class _DynPart:
     keep probing warm indexes.
     """
 
-    __slots__ = ("atom", "schema", "rows", "_indexes")
+    __slots__ = ("atom", "schema", "rows", "_indexes", "matcher")
 
     def __init__(self, atom: Atom):
         self.atom = atom
@@ -100,6 +107,18 @@ class _DynPart:
         self.rows: Set[Row] = set()
         #: positions tuple -> {key row: set of rows}
         self._indexes: Dict[Tuple[int, ...], Dict[Row, Set[Row]]] = {}
+        self.matcher = AtomMatcher(atom)
+
+    def __getstate__(self):
+        # The matcher holds a closure: checkpoints carry the atom alone
+        # (the same state layout a matcher-less part pickled to).
+        return None, {slot: getattr(self, slot)
+                      for slot in ("atom", "schema", "rows", "_indexes")}
+
+    def __setstate__(self, state):
+        for slot, value in state[1].items():
+            setattr(self, slot, value)
+        self.matcher = AtomMatcher(self.atom)
 
     def positions(self, variables: Sequence[Variable]) -> Tuple[int, ...]:
         index = {v: i for i, v in enumerate(self.schema)}
@@ -355,16 +374,28 @@ class ReducedMaintainer:
     # Construction
     # ------------------------------------------------------------------
     def _load(self, database: Database) -> None:
-        """Fill every part's match set and seed the witness counts."""
+        """Fill every part's match set and seed the witness counts.
+
+        Each distinct atom of a bag is matched and folded once: a part
+        repeating an earlier atom (a hosted core atom that is also one
+        of the view's source atoms) gets a copy of its rows, and joining
+        a set with an identical copy of itself is the identity, so the
+        witness counts are those of the fold over every part.
+        """
         for state in self._bags:
+            distinct: Dict[Atom, _DynPart] = {}
             for part in state.parts:
-                relation = database[part.atom.relation]
-                for db_row in relation:
-                    matched = _atom_match(part.atom, db_row)
-                    if matched is not None:
-                        part.add(matched)
-            seed_part = min(state.parts, key=lambda p: len(p.rows))
-            others = [p for p in state.parts if p is not seed_part]
+                first = distinct.get(part.atom)
+                if first is None:
+                    part.rows = set(part.matcher.match_rows(
+                        database[part.atom.relation].rows
+                    ))
+                    distinct[part.atom] = part
+                else:
+                    part.rows = set(first.rows)
+            folded = list(distinct.values())
+            seed_part = min(folded, key=lambda p: len(p.rows))
+            others = [p for p in folded if p is not seed_part]
             seed = dict.fromkeys(seed_part.rows, 1)
             state.counts = _fold_witnesses(
                 seed_part.schema, seed, others, frozenset(state.schema)
@@ -426,7 +457,7 @@ class ReducedMaintainer:
                 update.relation, ()):
             state = self._bags[bag_index]
             part = state.parts[part_index]
-            matched = _atom_match(part.atom, update.row)
+            matched = part.matcher.match(update.row)
             if matched is None:
                 continue
             others = [p for i, p in enumerate(state.parts)

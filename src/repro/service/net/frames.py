@@ -36,6 +36,7 @@ import hashlib
 import json
 import socket
 import struct
+import sys
 import time
 from typing import Optional, Tuple
 
@@ -280,17 +281,34 @@ def result_to_wire(result: object) -> dict:
     )
 
 
+def _shared_strings(mapping: dict) -> dict:
+    """*mapping* with its keys and string values interned, nested
+    objects included: every decoded reply carries the same few keys,
+    strategies and fingerprints, and a client that keeps its replies
+    should hold one copy of each, not one per reply."""
+    intern = sys.intern
+    shared = {}
+    for key, value in mapping.items():
+        if isinstance(value, str):
+            value = intern(value)
+        elif isinstance(value, dict):
+            value = _shared_strings(value)
+        shared[intern(key) if isinstance(key, str) else key] = value
+    return shared
+
+
 def result_from_wire(payload: dict) -> object:
-    """The inverse of :func:`result_to_wire`."""
+    """The inverse of :func:`result_to_wire`; decoded details and
+    acknowledgements share their strings (:func:`_shared_strings`)."""
     if not isinstance(payload, dict):
         raise TransportError("malformed wire result (not an object)")
     kind = payload.get("kind")
     if kind == "count":
-        return result_from_dict(payload)
+        return result_from_dict(_shared_strings(payload))
     if kind == "ack":
         ack = payload.get("ack")
         if isinstance(ack, dict):
-            return ack
+            return _shared_strings(ack)
     raise TransportError(f"malformed wire result (kind={kind!r})")
 
 

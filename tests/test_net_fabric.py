@@ -339,6 +339,33 @@ def test_result_wire_roundtrip_for_counts_and_acks():
     assert result_from_wire(result_to_wire(ack)) == ack
 
 
+def test_decoded_replies_share_their_strings():
+    """A client that keeps its replies holds one copy of each repeated
+    key and string value, however many frames carried them."""
+    from repro.counting.engine import CountResult
+
+    result = CountResult(3, "maintained", {
+        "database": "w0_cyc", "plan_fingerprint": "ab" * 32,
+        "nested": {"reduced": "yes"},
+    })
+    ack = {"op": "insert", "database": "w0_cyc"}
+    first, second = (
+        result_from_wire(json.loads(json.dumps(result_to_wire(result))))
+        for _ in range(2)
+    )
+    assert first.strategy is second.strategy
+    for key, key_again in zip(first.details, second.details):
+        assert key is key_again
+    for name in ("database", "plan_fingerprint"):
+        assert first.details[name] is second.details[name]
+    assert first.details["nested"]["reduced"] is \
+        second.details["nested"]["reduced"]
+    acks = [result_from_wire(json.loads(json.dumps(result_to_wire(ack))))
+            for _ in range(2)]
+    assert acks[0]["database"] is acks[1]["database"]
+    assert acks[0] == ack
+
+
 def test_saturation_error_keeps_its_hint_across_the_wire():
     error = ShardSaturatedError(3, 17, 42.5)
     back = error_from_wire(error_to_wire(error))

@@ -15,14 +15,22 @@ its three layers independently:
   like the direct DPs, and stale (version-1) checkpoints are rejected;
 * **the maintainability memo** — a ``False`` verdict cached under the
   old quantifier-free-only probe is re-probed now that the maintained
-  class is wider (a previously-recounting shape gets maintained).
+  class is wider (a previously-recounting shape gets maintained);
+* **compiled construction** — the per-atom compiled matcher agrees with
+  the per-row match, and a maintainer that folds each bag's distinct
+  atoms once holds the witness counts of a reference fold over every
+  part, on both relation backends and both execution tiers.
 """
 
 from __future__ import annotations
 
+import pickle
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.counting.brute_force import count_brute_force
 from repro.counting.engine import count_answers
@@ -41,6 +49,9 @@ from repro.dynamic import (
     ReducedMaintainer,
     apply_update,
 )
+from repro.dynamic.maintainer import AtomMatcher, _atom_match
+from repro.dynamic.reduced import _DynPart, _fold_witnesses
+from repro.envknobs import isolated_repro_env
 from repro.exceptions import DecompositionNotFoundError
 from repro.query import parse_query
 from repro.query.canonical import canonical_form
@@ -230,6 +241,138 @@ class TestProvenanceDeltaTranslation:
         before = maintainer.witness_counts()
         maintainer.apply(Insert("zz", (8, 8)))
         assert maintainer.witness_counts() == before
+
+
+# ----------------------------------------------------------------------
+# Compiled construction == per-row matching over every part
+# ----------------------------------------------------------------------
+PROPERTY_SETTINGS = dict(
+    max_examples=15,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+#: Constants, repeated variables and permuted variable orders over
+#: arities 1-3 (``r(A, B, C)`` is the only identity permutation).
+MATCHED_ATOMS = [
+    "r(A)", "r(1)",
+    "r(A, B)", "r(B, A)", "r(A, A)", "r(A, 1)", "r(2, B)",
+    "r(A, B, C)", "r(C, A, B)", "r(B, B, A)", "r(A, 2, A)", "r(1, C, 0)",
+]
+
+#: The triangle, the quantified star and a self-join whose bag parts
+#: repeat one relation symbol.
+SELF_JOIN = parse_query("ans(A, B) :- r(A, B), r(B, A)")
+STAR = parse_query("ans(A, B) :- r(A, B), s(B, C), t(A, D)")
+FOLDED_QUERIES = [TRIANGLE, STAR, SELF_JOIN]
+
+
+def reference_witness_counts(maintainer, database):
+    """Per bag: the witness counts of matching every part row by row and
+    folding *every* part, repeated atoms included — the construction
+    the compiled, distinct-atom fold must reproduce."""
+    counts = []
+    for state in maintainer._bags:
+        parts = []
+        for atom in (part.atom for part in state.parts):
+            part = _DynPart(atom)
+            for row in database[atom.relation]:
+                matched = _atom_match(atom, row)
+                if matched is not None:
+                    part.add(matched)
+            parts.append(part)
+        seed = min(parts, key=lambda p: len(p.rows))
+        counts.append(_fold_witnesses(
+            seed.schema, dict.fromkeys(seed.rows, 1),
+            [p for p in parts if p is not seed], frozenset(state.schema),
+        ))
+    return counts
+
+
+class TestCompiledConstruction:
+    @pytest.mark.parametrize("atom_text", MATCHED_ATOMS)
+    @settings(**PROPERTY_SETTINGS)
+    @given(rows=st.lists(st.lists(st.integers(0, 2), min_size=3,
+                                  max_size=3), max_size=30))
+    def test_matcher_agrees_with_per_row_match(self, atom_text, rows):
+        [atom] = parse_query(f"ans() :- {atom_text}").atoms
+        rows = {tuple(row[:atom.arity]) for row in rows}
+        matcher = AtomMatcher(atom)
+        expected = [_atom_match(atom, row) for row in rows]
+        assert [matcher.match(row) for row in rows] == expected
+        assert Counter(matcher.match_rows(frozenset(rows))) == Counter(
+            row for row in expected if row is not None
+        )
+        if matcher.plain:
+            assert None not in expected  # plain atoms match every row
+
+    @pytest.mark.parametrize("backend", ["tuple", "columnar"])
+    @pytest.mark.parametrize("compiled", ["1", "0"])
+    @pytest.mark.parametrize("query", FOLDED_QUERIES,
+                             ids=["triangle", "quantified", "self_join"])
+    @settings(**PROPERTY_SETTINGS)
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    def test_distinct_atom_fold_matches_every_part(self, backend, compiled,
+                                                   query, seed):
+        rng = random.Random(seed)
+        data = {name: list({(rng.randrange(4), rng.randrange(4))
+                            for _ in range(rng.randrange(1, 12))})
+                for name in sorted(query.relation_symbols)}
+        with isolated_repro_env(REPRO_BACKEND=backend,
+                                REPRO_COMPILED=compiled):
+            database = Database.from_dict(data)
+            maintainer = ReducedMaintainer(query, database)
+            assert maintainer.witness_counts() == reference_witness_counts(
+                maintainer, database
+            )
+            assert maintainer.count == count_brute_force(query, database)
+            for _step in range(6):
+                # Domain 5 keeps every relation short of full (at most
+                # 11 + 6 of 25 rows), so an insert always finds a row.
+                update = random_update(rng, database, domain=5)
+                database = apply_update(database, update)
+                maintainer.apply(update)
+            assert maintainer.witness_counts() == reference_witness_counts(
+                maintainer, database
+            )
+            assert maintainer.count == count_brute_force(query, database)
+
+    def test_parts_keep_one_entry_per_atom_occurrence(self):
+        """The delta path telescopes over repeated parts, so the fold's
+        distinct-atom shortcut must leave every part in place, each
+        with its own row set."""
+        database = Database.from_dict({"r": [(1, 2), (2, 1), (3, 4)]})
+        maintainer = ReducedMaintainer(SELF_JOIN, database)
+        atoms = [part.atom for state in maintainer._bags
+                 for part in state.parts]
+        assert len(atoms) > len(set(atoms))
+        for state in maintainer._bags:
+            for part in state.parts:
+                expected = {_atom_match(part.atom, row)
+                            for row in database[part.atom.relation]}
+                assert part.rows == expected - {None}
+            rows = [id(part.rows) for part in state.parts]
+            assert len(rows) == len(set(rows))
+
+    def test_part_checkpoint_state_carries_no_matcher(self):
+        """Parts pickle to the matcher-less slot layout, so checkpoints
+        written before the compiled matcher restore unchanged."""
+        database = Database.from_dict({"r": [(1, 2)], "s": [(2, 3)],
+                                       "t": [(3, 1)]})
+        maintainer = ReducedMaintainer(TRIANGLE, database)
+        part = maintainer._bags[0].parts[0]
+        empty, slots = part.__getstate__()
+        assert empty is None
+        assert set(slots) == {"atom", "schema", "rows", "_indexes"}
+        restored = pickle.loads(pickle.dumps(maintainer))
+        restored.apply(Insert("r", (2, 3)))
+        restored.apply(Insert("s", (3, 3)))
+        restored.apply(Insert("t", (3, 2)))
+        database = Database.from_dict({
+            "r": [(1, 2), (2, 3)], "s": [(2, 3), (3, 3)],
+            "t": [(3, 1), (3, 2)],
+        })
+        assert restored.count == count_brute_force(TRIANGLE, database)
 
 
 # ----------------------------------------------------------------------
