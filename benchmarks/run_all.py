@@ -128,7 +128,8 @@ def columnar_snapshot() -> dict:
 def net_snapshot(fast: bool) -> dict:
     """The networked-shard-fabric numbers (bench_net_fabric): the codec
     µs of one count round trip and the parse-once bar; unless *fast*,
-    also the TCP 2-shard session vs single-writer over real shardserver
+    also the median attach (``net.attach_ms``) against the reference
+    codec, the TCP 2-shard session vs single-writer over real shardserver
     subprocesses, and the bounded graceful-handoff pause (the chaos
     section stays behind the benchmark's ``--chaos`` flag / its
     dedicated CI step)."""
@@ -187,6 +188,7 @@ _HEADLINES = (
     ("net_speedup", ("net", "net_speedup")),
     ("codec_us_per_round_trip", ("net", "codec_us_per_round_trip")),
     ("handoff_paused_s", ("net", "handoff_paused_s")),
+    ("net_attach_ms", ("net", "attach_ms")),
     ("canonical_us_per_form", ("canonical", "canonical_us_per_form")),
 )
 
@@ -328,6 +330,16 @@ def main(argv=None) -> int:
             failures += 1
             print("[bench]   FAILED (triangle maintainer construction "
                   "below the 2x bar)", flush=True)
+        print(f"[bench] reduced build: triangle "
+              f"{snapshot['reduced']['build_ms']['triangle']}ms vs "
+              f"{snapshot['reduced']['build_fold_ms']['triangle']}ms "
+              f"distinct-atom fold "
+              f"({snapshot['reduced']['build_fold_speedup']['triangle']}x)",
+              flush=True)
+        if not snapshot["reduced"]["meets_reduced_kernel_build_bar"]:
+            failures += 1
+            print("[bench]   FAILED (generic-join construction below the "
+                  "1.5x bar)", flush=True)
         snapshot["compiled"] = compiled_snapshot()
         print(f"[bench] compiled: "
               f"{snapshot['compiled']['compiled_speedup_geomean']}x geomean "
@@ -373,6 +385,14 @@ def main(argv=None) -> int:
               f"{snapshot['net']['handoff_paused_s']}s "
               f"(shipped {snapshot['net']['handoff_shipped_tuples']} "
               f"tuples)", flush=True)
+        print(f"[bench] net attach: {snapshot['net']['attach_ms']}ms vs "
+              f"{snapshot['net']['attach_reference_ms']}ms with the "
+              f"reference codec ({snapshot['net']['attach_speedup']}x)",
+              flush=True)
+        if not snapshot["net"]["meets_attach_bar"]:
+            failures += 1
+            print("[bench]   FAILED (attach below the 1.5x bar)",
+                  flush=True)
         if not snapshot["net"]["meets_net_1x_bar"]:
             failures += 1
             print("[bench]   FAILED (TCP session below the 1.0x bar)",

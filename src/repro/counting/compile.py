@@ -55,6 +55,11 @@ object.  Execution itself never touches schemas:
   join returns ``|pi_free(join)|`` directly, eliminating the other
   variables by per-prefix set union (see :meth:`_LinkedBag.count`) — no
   bag rows, no free projection, no DP pass.
+* **Witness counts** for :class:`~repro.dynamic.reduced.
+  ReducedMaintainer`'s construction come from the same join
+  (:func:`bag_witness_counts`): a bag lowered *witnessed* keeps every
+  atom variable in its scans and counts each bag row's completions
+  over the variables outside the bag.
 * Leaf bags never materialize count tables: the parent aggregates them
   directly with ``Counter(map(key_of, rows))``, which runs entirely in C.
 
@@ -88,7 +93,7 @@ import weakref
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from itertools import repeat
 from operator import itemgetter
 from typing import (Dict, Hashable, Iterator, List, Optional, Sequence, Set,
@@ -132,6 +137,7 @@ __all__ = [
     "lower_structural",
     "link",
     "count_kernel_ops",
+    "bag_witness_counts",
     "describe_bags",
     "estimate_units",
     "runs_columnar",
@@ -567,20 +573,25 @@ def lower_structural(query: ConjunctiveQuery,
     )
 
 
-def _lower_bag(atoms: Sequence, bag: frozenset, counted: bool = False
+def _lower_bag(atoms: Sequence, bag: frozenset, counted: bool = False,
+               witnessed: bool = False
                ) -> Tuple[BagStep, Tuple[Variable, ...]]:
     """Lower ``pi_bag(atom_0 |><| ... |><| atom_n)``; returns the step
     and the bag schema (the kept variables in variable order).  A
-    *counted* step computes only the schema's cardinality."""
+    *counted* step computes only the schema's cardinality.  A
+    *witnessed* step keeps every atom variable in its scans, so the
+    join meets each witness of a bag row once (see
+    :func:`bag_witness_counts`)."""
     parts = [atom.variable_set for atom in atoms]
     # A scan keeps the bag's variables and those it shares with another
-    # part; a variable private to one atom is projected inside the scan.
+    # part; a variable private to one atom is projected inside the scan
+    # (unless the step counts witnesses).
     needed = []
     for part_index, variables in enumerate(parts):
         others = set().union(*(other for o, other in enumerate(parts)
                                if o != part_index))
         needed.append(frozenset(v for v in variables
-                                if v in bag or v in others))
+                                if witnessed or v in bag or v in others))
     order = _variable_order(needed, bag, counted)
     missing = bag - set(order)
     if missing:  # pragma: no cover - a view covers its bag (Def. 1.4)
@@ -1024,6 +1035,29 @@ class _LinkedBag:
             return len(self.scans[0].rows(database))
         return _collector_paused(self._count, database)
 
+    def witnesses(self, database: Database) -> Dict[tuple, int]:
+        """Each kept tuple's number of completions over the projected-away
+        levels (1 when there are none) — a *witnessed* bag's witness
+        counts."""
+        if self.kept == len(self.levels):
+            return dict.fromkeys(self.rows(database), 1)
+        return _collector_paused(self._witnesses, database)
+
+    def _witnesses(self, database: Database) -> Dict[tuple, int]:
+        resolved = self._probes(database)
+        if resolved is None:
+            return {}
+        _tries, probes = resolved
+        kept, wide = self.kept, self.wide
+        rows = [()]
+        for level in range(kept):
+            probe, extends = probes[level], wide[level]
+            rows = [extended for row in rows
+                    for extended in _extend(row, probe(row) or (), extends)]
+        completions = map(partial(_completions, probes, wide,
+                                  len(probes) - 1, kept), rows)
+        return {row: count for row, count in zip(rows, completions) if count}
+
     def _probes(self, database: Database) -> Optional[tuple]:
         """``(tries, probes)``: each scan's per-count index and each
         level's candidate-set function over them, or ``None`` when some
@@ -1224,6 +1258,19 @@ class _LinkedBag:
             distinct, _extend(binding, found, wide[prefix - 1]))))
 
 
+def _completions(probes: Sequence, wide: Sequence[bool], last: int,
+                 level: int, binding: tuple) -> int:
+    """The number of ways *binding* extends through every level from
+    *level* to *last*."""
+    found = probes[level](binding)
+    if not found:
+        return 0
+    if level == last:
+        return len(found)
+    return sum(map(partial(_completions, probes, wide, last, level + 1),
+                   _extend(binding, found, wide[level])))
+
+
 def _collector_paused(run, database: Database):
     """``run(database)`` with the cyclic garbage collector paused.
 
@@ -1276,6 +1323,36 @@ def _over(probes: Sequence, wide: Sequence[bool], level: int,
     for row in _extend(binding, found, wide[level]):
         total += _over(probes, wide, following, row, depth, visit)
     return total
+
+
+@lru_cache(maxsize=256)
+def _witness_bag(atoms: tuple, bag: frozenset
+                 ) -> Tuple[_LinkedBag, Optional[object]]:
+    """The linked witnessed join of *atoms* over *bag*, plus the
+    permutation of its rows onto the name-sorted bag schema (``None``
+    when the variable order already is that schema)."""
+    step, schema = _lower_bag(atoms, bag, witnessed=True)
+    wanted = _sorted_schema(bag)
+    order = None if schema == wanted else _row_getter(
+        tuple(schema.index(v) for v in wanted))
+    return _LinkedBag(step), order
+
+
+def bag_witness_counts(atoms: Sequence, bag: frozenset,
+                       database: Database) -> Dict[tuple, int]:
+    """``counts[bag_row] = |sigma_{bag_row}(join of atoms)|`` over
+    *database*, keyed by rows over the bag's name-sorted variables.
+
+    The bag's generic join binds the bag's variables first and counts
+    each bag row's completions over the atoms' other variables; a
+    maintainer's construction seeds its witness multisets with it.
+    *atoms* must be distinct and cover *bag*.
+    """
+    linked, order = _witness_bag(tuple(atoms), frozenset(bag))
+    counts = linked.witnesses(database)
+    if order is not None:
+        counts = dict(zip(map(order, counts), counts.values()))
+    return counts
 
 
 #: Count bounds must stay well inside int64 for the vectorized DP.

@@ -11,11 +11,20 @@ and out of the library.  Two humble formats cover it:
 Only JSON-representable constants round-trip (strings, ints, floats,
 bools, None, and nested lists thereof — lists come back as tuples so rows
 stay hashable).
+
+Rows are written in their natural (tuple) order, so the output is
+deterministic.  A relation whose rows do not compare — mixed types in a
+column, say ``1`` and ``"a"`` — falls back to ``repr`` order.  The row
+tuples themselves go into the payload uncopied: the JSON encoder writes a
+tuple as an array, so the wire and file formats are unchanged.  Reading
+back, rows become tuples in one C-level pass unless some value is a
+nested list; only such payloads pay a per-value freeze.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import Dict, List
 
 from ..exceptions import DatabaseError
@@ -30,10 +39,13 @@ ARITY_KEY = "__arities__"
 
 
 def database_to_dict(database: Database) -> Dict[str, object]:
-    """A JSON-ready dict for *database*, including explicit arities."""
+    """A JSON-ready dict for *database*, including explicit arities.
+
+    Each relation is a sorted list of its own row tuples (see the module
+    docstring for the order); callers must not mutate it.
+    """
     payload: Dict[str, object] = {
-        name: [list(row) for row in sorted(database[name].rows, key=repr)]
-        for name in sorted(database)
+        name: _sorted_rows(database[name].rows) for name in sorted(database)
     }
     payload[ARITY_KEY] = {
         name: database[name].arity for name in sorted(database)
@@ -56,7 +68,9 @@ def database_from_dict(payload: Dict[str, object],
     for name, rows in payload.items():
         if name == ARITY_KEY:
             continue
-        rows = [tuple(_freeze(value) for value in row) for row in rows]
+        rows = list(map(tuple, rows))
+        if list in set(map(type, chain.from_iterable(rows))):
+            rows = [tuple(_freeze(value) for value in row) for row in rows]
         if name in arities:
             arity = arities[name]
         elif rows:
@@ -80,6 +94,15 @@ def load_database(path: str) -> Database:
     """Read a database from a JSON file (the CLI's format)."""
     with open(path) as handle:
         return database_from_dict(json.load(handle))
+
+
+def _sorted_rows(rows) -> list:
+    """*rows* in natural order, or in ``repr`` order when they do not
+    compare."""
+    try:
+        return sorted(rows)
+    except TypeError:
+        return sorted(rows, key=repr)
 
 
 def _freeze(value):

@@ -19,11 +19,17 @@ The reduction runs **once**, at construction:
    tuples to the bag rows they support.  A bag keeps one part per atom
    *occurrence*, even where a hosted core atom repeats a source atom,
    because the delta path below telescopes over them.  Construction
-   folds each bag's *distinct* atoms once (joining a set with an
-   identical copy of itself is the identity, so the counts are those of
-   the fold over every part), and matching is compiled once per atom
-   (:class:`~repro.dynamic.maintainer.AtomMatcher`: a whole relation
-   matches in C unless the atom has constants or repeated variables);
+   counts witnesses with the bag's worst-case-optimal generic join over
+   its *distinct* atoms (:func:`~repro.counting.compile.
+   bag_witness_counts`): the join binds the bag's variables first and
+   counts each bag row's completions over the atoms' other variables.
+   Joining a set with an identical copy of itself is the identity, so
+   these are the counts over every part.  The pairwise fold
+   (:func:`_fold_witnesses`) serves the interpreted tier
+   (``REPRO_COMPILED=0``) and the delta path.  Matching rows into parts
+   is compiled once per atom (:class:`~repro.dynamic.maintainer.
+   AtomMatcher`: a whole relation matches in C unless the atom has
+   constants or repeated variables);
 3. build the reduced quantifier-free acyclic instance: one relation per
    bag holding the *globally consistent* (full-reduced) bag rows
    projected onto the free variables, counted by an inner
@@ -63,7 +69,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple
 
 from ..consistency.delta import DeltaReducer
-from ..counting.compile import compiled_enabled
+from ..counting.compile import bag_witness_counts, compiled_enabled
 from ..db.algebra import _row_getter
 from ..db.database import Database
 from ..db.relation import Relation
@@ -376,30 +382,19 @@ class ReducedMaintainer:
     def _load(self, database: Database) -> None:
         """Fill every part's match set and seed the witness counts.
 
-        Each distinct atom of a bag is matched and folded once: a part
-        repeating an earlier atom (a hosted core atom that is also one
-        of the view's source atoms) gets a copy of its rows, and joining
-        a set with an identical copy of itself is the identity, so the
-        witness counts are those of the fold over every part.
+        With the compiled tier on, the counts come from the bag's
+        generic join over its distinct atoms
+        (:func:`~repro.counting.compile.bag_witness_counts`); otherwise
+        the distinct parts are folded pairwise (:func:`_fold_parts`).
         """
+        kernel = compiled_enabled()
         for state in self._bags:
-            distinct: Dict[Atom, _DynPart] = {}
-            for part in state.parts:
-                first = distinct.get(part.atom)
-                if first is None:
-                    part.rows = set(part.matcher.match_rows(
-                        database[part.atom.relation].rows
-                    ))
-                    distinct[part.atom] = part
-                else:
-                    part.rows = set(first.rows)
-            folded = list(distinct.values())
-            seed_part = min(folded, key=lambda p: len(p.rows))
-            others = [p for p in folded if p is not seed_part]
-            seed = dict.fromkeys(seed_part.rows, 1)
-            state.counts = _fold_witnesses(
-                seed_part.schema, seed, others, frozenset(state.schema)
-            )
+            distinct = _match_parts(state, database)
+            if kernel:
+                state.counts = bag_witness_counts(
+                    list(distinct), frozenset(state.schema), database)
+            else:
+                state.counts = _fold_parts(state, list(distinct.values()))
 
     def _build_inner(self) -> None:
         """The reduced quantifier-free acyclic instance, counted by an
@@ -782,6 +777,42 @@ class ReducedMaintainer:
         if self._inner is not None:
             total += self._inner.estimated_bytes()
         return total
+
+
+# ----------------------------------------------------------------------
+# Construction helpers
+# ----------------------------------------------------------------------
+def _match_parts(state: _BagState, database: Database) -> Dict[Atom, _DynPart]:
+    """Fill the match set of every part of *state*; returns the first
+    part of each distinct atom.
+
+    Each distinct atom is matched once: a part repeating an earlier atom
+    (a hosted core atom that is also one of the view's source atoms)
+    gets a copy of its rows.  Joining a set with an identical copy of
+    itself is the identity, so the distinct parts' witness counts are
+    those of every part.
+    """
+    distinct: Dict[Atom, _DynPart] = {}
+    for part in state.parts:
+        first = distinct.get(part.atom)
+        if first is None:
+            part.rows = set(part.matcher.match_rows(
+                database[part.atom.relation].rows
+            ))
+            distinct[part.atom] = part
+        else:
+            part.rows = set(first.rows)
+    return distinct
+
+
+def _fold_parts(state: _BagState, parts: Sequence[_DynPart]) -> Dict[Row, int]:
+    """The witness counts of *state* by a pairwise fold of *parts*,
+    seeded with the smallest."""
+    seed = min(parts, key=lambda p: len(p.rows))
+    return _fold_witnesses(
+        seed.schema, dict.fromkeys(seed.rows, 1),
+        [p for p in parts if p is not seed], frozenset(state.schema)
+    )
 
 
 # ----------------------------------------------------------------------

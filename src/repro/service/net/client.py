@@ -197,8 +197,12 @@ class ShardClient:
                              "config": config})
 
     def submit_job(self, shard: str, job: SessionJob,
-                   saturation_patience_ms: Optional[float] = None):
+                   saturation_patience_ms: Optional[float] = None,
+                   wire_job: Optional[dict] = None):
         """Execute *job* on the named shard; returns the decoded result.
+
+        *wire_job* is the job's wire spec when the caller already built
+        it (:func:`~repro.service.net.frames.job_to_wire`).
 
         A ``shard_saturated`` reply means the job was rejected before
         execution: honor the server's ``retry_after_ms`` hint and
@@ -208,7 +212,8 @@ class ShardClient:
         """
         if saturation_patience_ms is None:
             saturation_patience_ms = self.timeout_ms
-        wire_job = job_to_wire(job)
+        if wire_job is None:
+            wire_job = job_to_wire(job)
         waited_ms = 0.0
         while True:
             try:

@@ -36,12 +36,11 @@ import uuid
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ...db.io import database_to_dict
 from ...exceptions import ReproError
 from ..router import SessionRouter
 from ..session import AttachDatabase, SessionJob, UpdateRequest
 from .client import ShardClient
-from .frames import TransportError
+from .frames import TransportError, job_to_wire
 
 
 class _AddressState:
@@ -163,6 +162,10 @@ class ShardDirectory:
         return [future.result() for future in futures]
 
     def _execute(self, database: str, job: SessionJob):
+        # An attach is serialized once: the spec it ships is also its
+        # origin snapshot.  Other jobs serialize per attempt (a count's
+        # spec carries its queue wait as of sending).
+        wire = job_to_wire(job) if isinstance(job, AttachDatabase) else None
         # Two rounds: the primary attempt, then one attempt after
         # failover recovery.  A second consecutive dead server is a
         # fleet outage, not something a directory can mask.
@@ -172,22 +175,25 @@ class ShardDirectory:
             state = self._state_for(address)
             try:
                 with state.lock:
-                    result = state.client.submit_job(self.shard, job)
+                    result = state.client.submit_job(self.shard, job,
+                                                     wire_job=wire)
             except TransportError:
                 if round_ == 1:
                     raise
                 self._failover(address)
                 continue
-            self._record(database, job)
+            self._record(database, job, wire)
             return result
         raise TransportError(  # pragma: no cover - loop always returns
             f"shard server for {database!r} is unreachable"
         )
 
-    def _record(self, database: str, job: SessionJob) -> None:
-        """Track acknowledged jobs as recovery material."""
+    def _record(self, database: str, job: SessionJob,
+                wire: Optional[dict]) -> None:
+        """Track acknowledged jobs as recovery material (*wire* is an
+        attach's shipped spec)."""
         if isinstance(job, AttachDatabase):
-            origin = self._checkpoint_from_job(job)
+            origin = self._checkpoint_from_job(job, wire)
             with self._lock:
                 self._origins[database] = origin
                 self._journals[database] = []
@@ -231,12 +237,13 @@ class ShardDirectory:
             self.truncations += 1
 
     @staticmethod
-    def _checkpoint_from_job(job: AttachDatabase) -> dict:
-        """The origin snapshot of an attach, built locally — identical
-        in shape to a server checkpoint, so restore treats both alike."""
+    def _checkpoint_from_job(job: AttachDatabase, wire: dict) -> dict:
+        """The origin snapshot of an attach, built from the spec it
+        shipped — identical in shape to a server checkpoint, so restore
+        treats both alike."""
         return {
             "database": job.name,
-            "relations": database_to_dict(job.database),
+            "relations": wire["relations"],
             "total_tuples": job.database.total_tuples(),
         }
 

@@ -973,6 +973,41 @@ class TestShardDirectory:
             directory.close()
             doomed.close()
 
+    def test_attach_is_serialized_once_and_still_restores(self,
+                                                          monkeypatch):
+        """The spec an attach ships is its origin snapshot: one
+        serialization per attach, and failover rebuilds from it."""
+        from repro.service import session as session_module
+        from repro.service.net import directory as directory_module
+
+        calls = []
+        original = session_module.database_to_dict
+
+        def counted(database):
+            calls.append(database)
+            return original(database)
+
+        monkeypatch.setattr(session_module, "database_to_dict", counted)
+        monkeypatch.setattr(directory_module, "database_to_dict", counted,
+                            raising=False)
+        with ShardServer(shards=1) as standby:
+            doomed = ShardServer(shards=1)
+            directory = ShardDirectory([doomed.address],
+                                       standbys=[standby.address],
+                                       timeout_ms=300, retries=1)
+            jobs = self.stream(rounds=2)
+            expected = self.expected(rounds=2)
+            directory.submit(jobs[0]).result()
+            assert len(calls) == 1
+            doomed.kill()  # the origin is all the standby gets
+            counts = [getattr(directory.submit(job).result(), "count", None)
+                      for job in jobs[1:]]
+            assert counts == expected[1:]
+            assert directory.stats()["failovers"] == 1
+            assert len(calls) == 1
+            directory.close()
+            doomed.close()
+
     def test_journal_cap_must_be_positive(self):
         with pytest.raises(ValueError, match="journal_cap"):
             ShardDirectory(["127.0.0.1:1"], journal_cap=0)

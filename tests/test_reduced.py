@@ -17,9 +17,11 @@ its three layers independently:
   old quantifier-free-only probe is re-probed now that the maintained
   class is wider (a previously-recounting shape gets maintained);
 * **compiled construction** — the per-atom compiled matcher agrees with
-  the per-row match, and a maintainer that folds each bag's distinct
-  atoms once holds the witness counts of a reference fold over every
-  part, on both relation backends and both execution tiers.
+  the per-row match, and a maintainer built through the bag's generic
+  join (or, with the compiled tier off, by folding each bag's distinct
+  atoms once) holds the witness counts of a reference fold over every
+  part, on both relation backends and both execution tiers, and
+  restores a checkpoint written before the generic-join build.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 import pickle
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -260,11 +263,28 @@ MATCHED_ATOMS = [
     "r(A, B, C)", "r(C, A, B)", "r(B, B, A)", "r(A, 2, A)", "r(1, C, 0)",
 ]
 
-#: The triangle, the quantified star and a self-join whose bag parts
-#: repeat one relation symbol.
+#: The triangle, the quantified star, a self-join whose bag parts
+#: repeat one relation symbol, the 5-cycle (a bag with a variable
+#: outside it: witness counts above 1), and atoms with constants and
+#: repeated variables.
 SELF_JOIN = parse_query("ans(A, B) :- r(A, B), r(B, A)")
 STAR = parse_query("ans(A, B) :- r(A, B), s(B, C), t(A, D)")
-FOLDED_QUERIES = [TRIANGLE, STAR, SELF_JOIN]
+FIVE_CYCLE = parse_query(
+    "ans(A, B) :- r(A, B), s(B, C), t(C, D), u(D, E), v(E, A)")
+CONSTANTS = parse_query("ans(A, C) :- r(A, B), s(B, B), t(B, 2), r(C, A)")
+FOLDED_QUERIES = [TRIANGLE, STAR, SELF_JOIN, FIVE_CYCLE, CONSTANTS]
+FOLDED_IDS = ["triangle", "quantified", "self_join", "five_cycle",
+              "constants"]
+
+#: A checkpoint of a triangle maintainer over TRIANGLE_CHECKPOINT_DATA,
+#: written (format 3) when construction still folded every bag
+#: pairwise.
+TRIANGLE_CHECKPOINT = Path(__file__).parent / "data" / "triangle_v3.maint"
+TRIANGLE_CHECKPOINT_DATA = {
+    "r": [(1, 2), (2, 3), (3, 1), (1, 3)],
+    "s": [(2, 3), (3, 1), (1, 2), (3, 3)],
+    "t": [(3, 1), (1, 2), (2, 3), (3, 2)],
+}
 
 
 def reference_witness_counts(maintainer, database):
@@ -308,8 +328,7 @@ class TestCompiledConstruction:
 
     @pytest.mark.parametrize("backend", ["tuple", "columnar"])
     @pytest.mark.parametrize("compiled", ["1", "0"])
-    @pytest.mark.parametrize("query", FOLDED_QUERIES,
-                             ids=["triangle", "quantified", "self_join"])
+    @pytest.mark.parametrize("query", FOLDED_QUERIES, ids=FOLDED_IDS)
     @settings(**PROPERTY_SETTINGS)
     @given(seed=st.integers(min_value=0, max_value=10_000))
     def test_distinct_atom_fold_matches_every_part(self, backend, compiled,
@@ -336,6 +355,58 @@ class TestCompiledConstruction:
                 maintainer, database
             )
             assert maintainer.count == count_brute_force(query, database)
+
+    @pytest.mark.parametrize("backend", ["tuple", "columnar"])
+    def test_five_cycle_bag_counts_every_completion(self, backend):
+        """A bag with a variable outside it counts each bag row's
+        completions: on a dense graph, some bag row has several."""
+        edges = [(a, b) for a in range(4) for b in range(4) if a != b]
+        data = {name: edges for name in "rstuv"}
+        with isolated_repro_env(REPRO_BACKEND=backend, REPRO_COMPILED="1"):
+            database = Database.from_dict(data)
+            maintainer = ReducedMaintainer(FIVE_CYCLE, database)
+            counts = maintainer.witness_counts()
+            assert counts == reference_witness_counts(maintainer, database)
+            assert max(max(bag.values()) for bag in counts) > 1
+            assert maintainer.count == count_brute_force(FIVE_CYCLE,
+                                                         database)
+
+    @pytest.mark.parametrize("query", FOLDED_QUERIES, ids=FOLDED_IDS)
+    def test_kernel_build_keeps_the_maintainer_state(self, query):
+        """The generic-join build and the pairwise fold leave the same
+        parts, part rows and witness counts, in the same checkpoint
+        format."""
+        rng = random.Random(7)
+        data = {name: list({(rng.randrange(4), rng.randrange(4))
+                            for _ in range(10)})
+                for name in sorted(query.relation_symbols)}
+        built = {}
+        for compiled in ("1", "0"):
+            with isolated_repro_env(REPRO_COMPILED=compiled):
+                maintainer = ReducedMaintainer(query, Database.from_dict(data))
+                built[compiled] = (
+                    [[(part.atom, part.rows) for part in state.parts]
+                     for state in maintainer._bags],
+                    maintainer.witness_counts(),
+                )
+        assert built["1"] == built["0"]
+        assert MAINTAINER_FORMAT_VERSION == 3
+
+    def test_checkpoint_written_by_the_fold_build_restores(self):
+        database = Database.from_dict(TRIANGLE_CHECKPOINT_DATA)
+        payload = deserialize_maintainer_state(
+            TRIANGLE_CHECKPOINT.read_bytes())
+        restored = payload["counter"]
+        fresh = ReducedMaintainer(TRIANGLE, database)
+        assert restored.witness_counts() == fresh.witness_counts()
+        assert restored.count == fresh.count == count_brute_force(
+            TRIANGLE, database)
+        rng = random.Random(5)
+        for _step in range(6):
+            update = random_update(rng, database)
+            database = apply_update(database, update)
+            restored.apply(update)
+            assert restored.count == count_brute_force(TRIANGLE, database)
 
     def test_parts_keep_one_entry_per_atom_occurrence(self):
         """The delta path telescopes over repeated parts, so the fold's
