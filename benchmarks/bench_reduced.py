@@ -60,11 +60,12 @@ import statistics
 import time
 
 from repro.counting.engine import count_answers
+from repro.db.algebra import _row_getter
 from repro.counting.plan_cache import PLAN_CACHE_DIR_ENV
 from repro.db.database import Database
 from repro.dynamic import Insert, ReducedMaintainer, apply_update
 from repro.dynamic.maintainer import MAINTAINER_BUDGET_ENV, _atom_match
-from repro.dynamic.reduced import _fold_parts, _match_parts
+from repro.dynamic.reduced import _match_parts
 from repro.envknobs import isolated_repro_env
 from repro.query.parser import parse_query
 from repro.service import (
@@ -405,6 +406,63 @@ BUILD_SHAPES = {
                    120, 0.05),
 }
 BUILD_REPEATS = 7
+
+
+def _fold_parts(state, parts):
+    """A bag's witness counts by a pairwise hash-join fold of *parts*,
+    seeded with the smallest: the maintainers' construction before the
+    generic join, kept here as the reference the build bars time.
+
+    Parts are folded greedily by connectivity, smallest live match set
+    first; each step projects the intermediate onto the bag plus the
+    variables later parts still need, merging witness counts.
+    """
+    keep = frozenset(state.schema)
+    seed = min(parts, key=lambda p: len(p.rows))
+    schema = seed.schema
+    counts = dict.fromkeys(seed.rows, 1)
+    pending = sorted((p for p in parts if p is not seed),
+                     key=lambda p: len(p.rows))
+    bound = set(schema)
+    ordered = []
+    while pending:
+        index = next((i for i, part in enumerate(pending)
+                      if bound & set(part.schema)), 0)
+        part = pending.pop(index)
+        ordered.append(part)
+        bound |= set(part.schema)
+    for fold_index, part in enumerate(ordered):
+        if not counts:
+            break
+        needed = set(keep)
+        for later in ordered[fold_index + 1:]:
+            needed.update(later.schema)
+        part_vars = set(part.schema)
+        shared = tuple(v for v in schema if v in part_vars)
+        index = part.index_on(tuple(part.schema.index(v) for v in shared))
+        out_schema = tuple(sorted((set(schema) | part_vars) & needed,
+                                  key=lambda v: v.name))
+        combined = {v: i for i, v in enumerate(schema)}
+        for i, v in enumerate(part.schema):
+            combined.setdefault(v, len(schema) + i)
+        out_of = _row_getter(tuple(combined[v] for v in out_schema))
+        key_of = _row_getter(tuple(schema.index(v) for v in shared))
+        folded = {}
+        for row, multiplicity in counts.items():
+            for part_row in index.get(key_of(row), ()):
+                out_row = out_of(row + part_row)
+                folded[out_row] = folded.get(out_row, 0) + multiplicity
+        counts = folded
+        schema = out_schema
+    wanted = tuple(v for v in schema if v in keep)
+    if wanted != schema:
+        out_of = _row_getter(tuple(schema.index(v) for v in wanted))
+        projected = {}
+        for row, multiplicity in counts.items():
+            out_row = out_of(row)
+            projected[out_row] = projected.get(out_row, 0) + multiplicity
+        counts = projected
+    return counts
 
 
 class _PerRowReference(ReducedMaintainer):

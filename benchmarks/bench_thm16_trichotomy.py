@@ -43,11 +43,9 @@ def test_path_family_stays_flat(benchmark, k):
     query = path_query(k)
     database = graph_database(GRAPH)
     result = benchmark(count_answers, query, database)
-    # The flat (case 1) tier: either the interpreted acyclic DP or its
-    # compiled lowering, depending on whether the compiled tier is on.
-    assert result.strategy in ("acyclic", "compiled")
-    if result.strategy == "compiled":
-        assert result.details.get("compiled_kind") == "acyclic"
+    # The flat (case 1) tier: the acyclic DP's compiled lowering.
+    assert result.strategy == "compiled"
+    assert result.details.get("compiled_kind") == "acyclic"
     assert result.count == count_brute_force(query, database)
 
 

@@ -40,9 +40,7 @@ DPs); ``shardserver`` hosts session shards over TCP (sessions reach
 them with ``--shard-addrs host:port[,host:port...]`` or
 ``$REPRO_SHARD_ADDRS`` — see ARCHITECTURE.md, "Networked shard
 fabric"); ``bench`` replays a self-contained maintained star stream
-and, with ``--profile``, cProfiles it.  Subcommands that execute
-counts accept ``--no-compiled`` to force the interpreted strategies
-(equivalent to ``REPRO_COMPILED=0``), and ``count``/``batch``/
+and, with ``--profile``, cProfiles it.  ``count``/``batch``/
 ``session``/``bench`` accept ``--backend tuple|columnar`` to pick the
 relation storage backend (equivalent to ``$REPRO_BACKEND``; see
 ARCHITECTURE.md, "Columnar backend").
@@ -93,19 +91,6 @@ def _freeze(value):
     return value
 
 
-def _apply_compiled_flag(args: argparse.Namespace) -> None:
-    """Honor ``--no-compiled`` by forcing the compiled tier off."""
-    if getattr(args, "no_compiled", False):
-        import os
-
-        from .counting.compile import COMPILED_ENV, set_compiled_enabled
-
-        # The env var also reaches child processes (a spawned shard
-        # server), which never see this interpreter's module override.
-        os.environ[COMPILED_ENV] = "0"
-        set_compiled_enabled(False)
-
-
 def _apply_backend_flag(args: argparse.Namespace) -> None:
     """Honor ``--backend`` by forcing the relation backend."""
     backend = getattr(args, "backend", None)
@@ -114,14 +99,13 @@ def _apply_backend_flag(args: argparse.Namespace) -> None:
 
         from .db.columnar import BACKEND_ENV, set_default_backend
 
-        # Same pattern as --no-compiled: the env var reaches TCP shard
-        # servers spawned from here.
+        # The env var also reaches TCP shard servers spawned from here,
+        # which never see this interpreter's module override.
         os.environ[BACKEND_ENV] = backend
         set_default_backend(backend)
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    _apply_compiled_flag(args)
     _apply_backend_flag(args)
     query = parse_query(args.query)
     database = load_database(args.database)
@@ -226,7 +210,6 @@ def _cmd_faq(args: argparse.Namespace) -> int:
 def _cmd_explain(args: argparse.Namespace) -> int:
     from .counting.explain import explain
 
-    _apply_compiled_flag(args)
     query = parse_query(args.query)
     database = load_database(args.database) if args.database else None
     print(explain(query, database, max_width=args.max_width))
@@ -250,7 +233,6 @@ def _apply_deadline_defaults(jobs, deadline_ms, error_budget) -> None:
 def _cmd_batch(args: argparse.Namespace) -> int:
     from .service import CountingService, load_jobs
 
-    _apply_compiled_flag(args)
     _apply_backend_flag(args)
     jobs = load_jobs(args.jobs)
     _apply_deadline_defaults(jobs, args.deadline_ms, args.error_budget)
@@ -310,7 +292,6 @@ def _session_result_lines(prefix: str, jobs, results, payload, explain):
 def _cmd_session(args: argparse.Namespace) -> int:
     from .service import CountingSession, MultiWriterSession, load_stream
 
-    _apply_compiled_flag(args)
     _apply_backend_flag(args)
     streams = [load_stream(path) for path in args.jobs]
     for stream in streams:
@@ -406,11 +387,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     """
     import time
 
-    from .counting.compile import compiled_enabled
     from .dynamic import Insert
     from .service import CountRequest, CountingSession, UpdateRequest
 
-    _apply_compiled_flag(args)
     _apply_backend_flag(args)
     branches, hub, rows = 5, 40, 1500
     query = parse_query(
@@ -457,7 +436,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     counts = [r.count for r in results if hasattr(r, "count")]
     print(f"workload : star query, {branches} branches, hub={hub}, "
           f"{rows} rows/branch, {args.rounds} update+count rounds")
-    print(f"compiled : {'on' if compiled_enabled() else 'off'}")
     print(f"elapsed  : {elapsed:.4f}s "
           f"({elapsed / max(args.rounds, 1) * 1e3:.2f}ms/round)")
     print(f"counts   : first={counts[0]} last={counts[-1]}; "
@@ -482,7 +460,6 @@ def _cmd_shardserver(args: argparse.Namespace) -> int:
 
     from .service.net import ShardServer, parse_address
 
-    _apply_compiled_flag(args)
     host, port = parse_address(args.listen)
     shard_defaults = {}
     if args.maintainer_budget_mb is not None:
@@ -560,9 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
     count.add_argument("--max-width", type=int, default=3)
     count.add_argument("--explain", action="store_true",
                        help="dump the engine's cost-ranked decision trail")
-    count.add_argument("--no-compiled", action="store_true",
-                       help="disable the compiled-plan execution tier "
-                            "(interpreted strategies only)")
     count.add_argument("--backend", default=None,
                        choices=["tuple", "columnar"],
                        help="relation storage backend for loaded "
@@ -607,8 +581,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="optional JSON database (enables the "
                                   "hybrid probe)")
     explain_cmd.add_argument("--max-width", type=int, default=3)
-    explain_cmd.add_argument("--no-compiled", action="store_true",
-                             help="disable the compiled-plan execution tier")
     explain_cmd.set_defaults(func=_cmd_explain)
 
     batch = sub.add_parser(
@@ -622,8 +594,6 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--cache-dir", default=None,
                        help="persistent plan-cache directory (defaults to "
                             "$REPRO_PLAN_CACHE_DIR when set)")
-    batch.add_argument("--no-compiled", action="store_true",
-                       help="disable the compiled-plan execution tier")
     batch.add_argument("--backend", default=None,
                        choices=["tuple", "columnar"],
                        help="relation storage backend for loaded "
@@ -653,8 +623,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "shard/session in MB (cold maintainers spill "
                               "to checkpoints; 0 = unbounded; defaults to "
                               "$REPRO_MAINTAINER_BUDGET_MB)")
-    session.add_argument("--no-compiled", action="store_true",
-                         help="disable the compiled-plan execution tier")
     session.add_argument("--backend", default=None,
                          choices=["tuple", "columnar"],
                          help="relation storage backend for loaded "
@@ -702,9 +670,6 @@ def build_parser() -> argparse.ArgumentParser:
                                   "(tests and chaos benchmarks only)")
     shardserver.add_argument("--label", default=None,
                              help="label for this server's stats")
-    shardserver.add_argument("--no-compiled", action="store_true",
-                             help="disable the compiled-plan execution "
-                                  "tier")
     shardserver.set_defaults(func=_cmd_shardserver)
 
     bench = sub.add_parser(
@@ -719,8 +684,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(with --profile)")
     bench.add_argument("--rounds", type=int, default=40,
                        help="update+count rounds to replay")
-    bench.add_argument("--no-compiled", action="store_true",
-                       help="disable the compiled-plan execution tier")
     bench.add_argument("--backend", default=None,
                        choices=["tuple", "columnar"],
                        help="relation storage backend for loaded "

@@ -63,9 +63,8 @@ object.  Execution itself never touches schemas:
 * Leaf bags never materialize count tables: the parent aggregates them
   directly with ``Counter(map(key_of, rows))``, which runs entirely in C.
 
-The tier is on by default; ``REPRO_COMPILED=0`` in the environment or
-:func:`set_compiled_enabled` (the CLI's ``--no-compiled``) opts out, and
-the ``auto`` strategy then falls back to the interpreted paths.
+The tier is always on: ``auto`` tries it first and falls back to the
+interpreted strategies only when the compiled probe declines a query.
 
 When every relation a program scans is a
 :class:`~repro.db.columnar.ColumnarRelation` (and numpy is importable),
@@ -116,14 +115,12 @@ from ..db.columnar import (
 from ..db.database import Database
 from ..decomposition.fractional import cover_vertices
 from ..decomposition.sharp import SharpDecomposition
-from ..envknobs import env_flag
 from ..exceptions import QueryError, SchemaError
 from ..hypergraph.acyclicity import JoinTree, require_join_tree
 from ..query.query import ConjunctiveQuery
 from ..query.terms import Constant, Variable
 
 __all__ = [
-    "COMPILED_ENV",
     "AtomScan",
     "FoldStep",
     "BagStep",
@@ -131,8 +128,6 @@ __all__ = [
     "DPStep",
     "CompiledProgram",
     "KERNEL_UNITS",
-    "compiled_enabled",
-    "set_compiled_enabled",
     "lower_acyclic",
     "lower_structural",
     "link",
@@ -143,34 +138,13 @@ __all__ = [
     "runs_columnar",
 ]
 
-#: Environment opt-out: ``REPRO_COMPILED=0`` disables the compiled tier
-#: (the ``auto`` strategy then never consults it and the maintainers run
-#: their interpreted repair paths).
-COMPILED_ENV = "REPRO_COMPILED"
-
-#: Programmatic override (the CLI's ``--no-compiled``): ``None`` defers
-#: to the environment, a bool wins outright.
-_FORCED: Optional[bool] = None
-
-
 def compiled_enabled() -> bool:
-    """Is the compiled execution tier enabled right now?
+    """Always ``True``: the compiled tier has no off switch.
 
-    Checked per call (not cached at import) so tests and long-lived
-    services can flip ``REPRO_COMPILED`` without reloading modules.
-    Accepts the usual boolean spellings (``0/1/true/false/on/off``);
-    anything else warns once (see :mod:`repro.envknobs`) and leaves the
-    tier enabled.
+    Kept only because ``perfbench/common.py`` records it in a run's
+    provenance; once the benchmark stops reading it, delete it.
     """
-    if _FORCED is not None:
-        return _FORCED
-    return env_flag(COMPILED_ENV, True)
-
-
-def set_compiled_enabled(value: Optional[bool]) -> None:
-    """Force the compiled tier on/off; ``None`` restores the env check."""
-    global _FORCED
-    _FORCED = value
+    return True
 
 
 # ----------------------------------------------------------------------

@@ -31,7 +31,7 @@ The built-in strategies are the paper's algorithms:
 
 * *compiled* — a lowered, cache-shared execution program for the acyclic
   or structural plan (see :mod:`repro.counting.compile`); the default
-  fast path, opt-out via ``REPRO_COMPILED=0``;
+  fast path;
 * *acyclic* — quantifier-free and alpha-acyclic: the join-tree DP;
 * *structural* — a #-hypertree decomposition of width ``<= max_width``
   exists (Theorem 1.3): the Theorem 3.7 algorithm;
@@ -77,7 +77,6 @@ from ..query.query import ConjunctiveQuery
 from .acyclic import count_acyclic
 from .brute_force import count_brute_force
 from .compile import (
-    compiled_enabled,
     describe_bags,
     estimate_units,
     link,
@@ -332,10 +331,6 @@ def _compiled_lower(ctx: StrategyContext):
 
 
 def _compiled_applicable(ctx: StrategyContext) -> Optional[object]:
-    # The enabled check comes *before* any cache access, so a run with
-    # the tier disabled can never poison the memo for enabled callers.
-    if not compiled_enabled():
-        return None
     program, was_cached = ctx.cached_plan(
         "compiled", (ctx.max_width, COMPILED_FORMAT_VERSION),
         lambda: _compiled_lower(ctx),
@@ -406,11 +401,6 @@ def _compiled_run(ctx: StrategyContext, witness: object
 
 
 def _compiled_failure(ctx: StrategyContext) -> Exception:
-    if not compiled_enabled():
-        return DecompositionNotFoundError(
-            f"{ctx.query.name}: the compiled tier is disabled "
-            f"(REPRO_COMPILED=0 or --no-compiled)"
-        )
     return DecompositionNotFoundError(
         f"{ctx.query.name}: no compilable plan within width "
         f"{ctx.max_width} (quantified non-decomposable shape)"

@@ -24,9 +24,7 @@ The reduction runs **once**, at construction:
    bag_witness_counts`): the join binds the bag's variables first and
    counts each bag row's completions over the atoms' other variables.
    Joining a set with an identical copy of itself is the identity, so
-   these are the counts over every part.  The pairwise fold
-   (:func:`_fold_witnesses`) serves the interpreted tier
-   (``REPRO_COMPILED=0``) and the delta path.  Matching rows into parts
+   these are the counts over every part.  Matching rows into parts
    is compiled once per atom (:class:`~repro.dynamic.maintainer.
    AtomMatcher`: a whole relation matches in C unless the atom has
    constants or repeated variables);
@@ -37,10 +35,11 @@ The reduction runs **once**, at construction:
 
 Each base-relation :class:`~repro.dynamic.updates.Insert` /
 :class:`~repro.dynamic.updates.Delete` then translates into bag deltas:
-a **delta join** of the single matched row against the bag's other parts
-patches the witness counts of exactly the affected bags (occurrences of
-a repeated symbol are processed one at a time, so self-joins telescope
-correctly), and bag-membership flips are *recorded* as per-bag
+a **delta join** (:class:`_DeltaPlan`, lowered once per ``(bag, part)``)
+of the single matched row against the bag's other parts patches the
+witness counts of exactly the affected bags (occurrences of a repeated
+symbol are processed one at a time, so self-joins telescope correctly),
+and bag-membership flips are *recorded* as per-bag
 added/removed row sets (flips that cancel within a batch net out to
 nothing).  The next read folds those membership deltas into a
 counting-semijoin :class:`~repro.consistency.delta.DeltaReducer`, which
@@ -69,7 +68,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple
 
 from ..consistency.delta import DeltaReducer
-from ..counting.compile import bag_witness_counts, compiled_enabled
+from ..counting.compile import bag_witness_counts
 from ..db.algebra import _row_getter
 from ..db.database import Database
 from ..db.relation import Relation
@@ -125,10 +124,6 @@ class _DynPart:
         for slot, value in state[1].items():
             setattr(self, slot, value)
         self.matcher = AtomMatcher(self.atom)
-
-    def positions(self, variables: Sequence[Variable]) -> Tuple[int, ...]:
-        index = {v: i for i, v in enumerate(self.schema)}
-        return tuple(index[v] for v in variables)
 
     def index_on(self, positions: Tuple[int, ...]) -> Dict[Row, Set[Row]]:
         cached = self._indexes.get(positions)
@@ -203,19 +198,20 @@ class _BagState:
 
 
 class _DeltaPlan:
-    """A compiled per-``(bag, part)`` delta join.
+    """A compiled per-``(bag, part)`` delta join: witness counts of
+    ``pi_keep(seed |><| join of the other parts)``.
 
-    :func:`_fold_witnesses` re-derives, on *every* update, the fold
-    order, the shared variables, and the key/output extractors of the
-    same join — all functions of the part schemas, which are fixed for
-    the maintainer's life.  This plan resolves them once; :meth:`fold`
+    The fold order, the shared variables and the key/output extractors
+    are functions of the part schemas, which are fixed for the
+    maintainer's life, so the plan resolves them once; :meth:`fold`
     then only probes the parts' warm indexes and merges multiplicities.
-
-    The fold order is static (greedy connectivity over schemas, smallest
-    schema first) where the interpreted path re-sorts by live match-set
-    size; the multiset semantics are order-independent, so the two paths
-    agree exactly.  Holds extractor closures — never pickled; the
-    maintainer rebuilds plans lazily after a checkpoint restore.
+    Parts are folded greedily by connectivity, smallest schema first,
+    deferring cross products until unavoidable; each step projects the
+    intermediate onto ``keep`` plus the variables later parts still
+    need (dropped columns merge their witness counts), which keeps a
+    delta join from materializing the full per-bag product.  Holds
+    extractor closures — never pickled; the maintainer rebuilds plans
+    lazily after a checkpoint restore.
     """
 
     __slots__ = ("_steps", "_final")
@@ -269,7 +265,8 @@ class _DeltaPlan:
     def fold(self, counts: Dict[Row, int],
              parts: Sequence[_DynPart]) -> Dict[Row, int]:
         """Witness counts of ``pi_keep(counts |><| join of parts)``;
-        *parts* is the same others list the interpreted fold receives."""
+        *parts* are the bag's other parts, in the order the plan was
+        lowered over."""
         for slot, part_positions, key_of, out_of in self._steps:
             if not counts:
                 break
@@ -380,21 +377,13 @@ class ReducedMaintainer:
     # Construction
     # ------------------------------------------------------------------
     def _load(self, database: Database) -> None:
-        """Fill every part's match set and seed the witness counts.
-
-        With the compiled tier on, the counts come from the bag's
-        generic join over its distinct atoms
-        (:func:`~repro.counting.compile.bag_witness_counts`); otherwise
-        the distinct parts are folded pairwise (:func:`_fold_parts`).
-        """
-        kernel = compiled_enabled()
+        """Fill every part's match set and seed the witness counts from
+        the bag's generic join over its distinct atoms
+        (:func:`~repro.counting.compile.bag_witness_counts`)."""
         for state in self._bags:
             distinct = _match_parts(state, database)
-            if kernel:
-                state.counts = bag_witness_counts(
-                    list(distinct), frozenset(state.schema), database)
-            else:
-                state.counts = _fold_parts(state, list(distinct.values()))
+            state.counts = bag_witness_counts(
+                list(distinct), frozenset(state.schema), database)
 
     def _build_inner(self) -> None:
         """The reduced quantifier-free acyclic instance, counted by an
@@ -457,14 +446,8 @@ class ReducedMaintainer:
                 continue
             others = [p for i, p in enumerate(state.parts)
                       if i != part_index]
-            if compiled_enabled():
-                plan = self._delta_plan(bag_index, part_index, state, part)
-                deltas = plan.fold({matched: 1}, others)
-            else:
-                deltas = _fold_witnesses(
-                    part.schema, {matched: 1}, others,
-                    frozenset(state.schema)
-                )
+            plan = self._delta_plan(bag_index, part_index, state, part)
+            deltas = plan.fold({matched: 1}, others)
             counts = state.counts
             pending_added = state.pending_added
             pending_removed = state.pending_removed
@@ -803,87 +786,3 @@ def _match_parts(state: _BagState, database: Database) -> Dict[Atom, _DynPart]:
         else:
             part.rows = set(first.rows)
     return distinct
-
-
-def _fold_parts(state: _BagState, parts: Sequence[_DynPart]) -> Dict[Row, int]:
-    """The witness counts of *state* by a pairwise fold of *parts*,
-    seeded with the smallest."""
-    seed = min(parts, key=lambda p: len(p.rows))
-    return _fold_witnesses(
-        seed.schema, dict.fromkeys(seed.rows, 1),
-        [p for p in parts if p is not seed], frozenset(state.schema)
-    )
-
-
-# ----------------------------------------------------------------------
-# The multiset delta join
-# ----------------------------------------------------------------------
-def _fold_witnesses(schema: Tuple[Variable, ...], counts: Dict[Row, int],
-                    parts: Sequence[_DynPart],
-                    keep: FrozenSet[Variable]) -> Dict[Row, int]:
-    """Witness counts of ``pi_keep(state |><| join of parts)``.
-
-    *counts* maps rows over the sorted *schema* to multiplicities; each
-    part is folded in with an index-driven hash join, projecting the
-    intermediate onto ``keep`` plus the variables still needed by the
-    remaining parts (dropped columns merge their witness counts — the
-    multiset analogue of ``join_project``'s push-down, which is what
-    keeps a delta join from materializing the full per-bag product).
-    Parts are folded greedily by connectivity, smallest match set first,
-    deferring cross products until unavoidable.
-    """
-    pending = sorted(parts, key=lambda p: len(p.rows))
-    bound = set(schema)
-    ordered: List[_DynPart] = []
-    while pending:
-        index = next(
-            (i for i, part in enumerate(pending)
-             if bound & set(part.schema)), 0,
-        )
-        part = pending.pop(index)
-        ordered.append(part)
-        bound |= set(part.schema)
-    for fold_index, part in enumerate(ordered):
-        if not counts:
-            break
-        needed = set(keep)
-        for later in ordered[fold_index + 1:]:
-            needed.update(later.schema)
-        part_vars = set(part.schema)
-        shared = tuple(v for v in schema if v in part_vars)
-        index = part.index_on(part.positions(shared))
-        out_schema = tuple(sorted(
-            (set(schema) | part_vars) & needed, key=lambda v: v.name
-        ))
-        # Positions of the output columns in (state row + part row).
-        combined = {v: i for i, v in enumerate(schema)}
-        offset = len(schema)
-        for i, v in enumerate(part.schema):
-            combined.setdefault(v, offset + i)
-        out_of = _row_getter(tuple(combined[v] for v in out_schema))
-        key_of = _row_getter(
-            tuple({v: i for i, v in enumerate(schema)}[v] for v in shared)
-        )
-        folded: Dict[Row, int] = {}
-        for row, multiplicity in counts.items():
-            bucket = index.get(key_of(row))
-            if not bucket:
-                continue
-            for part_row in bucket:
-                out_row = out_of(row + part_row)
-                folded[out_row] = folded.get(out_row, 0) + multiplicity
-        counts = folded
-        schema = out_schema
-    if tuple(v for v in schema if v in keep) != schema:
-        # No parts consumed a column outside *keep* (e.g. a single-part
-        # bag): project the remainder away, merging counts.
-        wanted = tuple(v for v in schema if v in keep)
-        out_of = _row_getter(
-            tuple({v: i for i, v in enumerate(schema)}[v] for v in wanted)
-        )
-        projected: Dict[Row, int] = {}
-        for row, multiplicity in counts.items():
-            out_row = out_of(row)
-            projected[out_row] = projected.get(out_row, 0) + multiplicity
-        counts = projected
-    return counts

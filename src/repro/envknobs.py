@@ -14,7 +14,6 @@ The knobs currently wired through here:
 * ``REPRO_SESSION_SHARDS`` — :func:`repro.service.default_shards`
 * ``REPRO_MAINTAINER_BUDGET_MB`` —
   :func:`repro.dynamic.maintainer.maintainer_budget_from_env`
-* ``REPRO_COMPILED`` — :func:`repro.counting.compile.compiled_enabled`
 * ``REPRO_BACKEND`` — :func:`repro.db.columnar.default_backend`
   (``tuple`` or ``columnar``; the relation storage / kernel backend)
 * ``REPRO_COST_UNITS_PER_MS`` —
@@ -46,13 +45,9 @@ from typing import Iterator, Optional, Sequence, Set, Tuple
 
 #: ``(name, raw value)`` pairs already warned about — one warning per
 #: distinct misconfiguration per process, not one per read (knobs like
-#: ``REPRO_COMPILED`` are consulted on every count).
+#: ``REPRO_BACKEND`` are consulted on every relation built).
 _WARNED: Set[Tuple[str, str]] = set()
 _WARNED_LOCK = threading.Lock()
-
-#: Accepted spellings for boolean knobs (case-insensitive).
-_TRUTHY = frozenset({"1", "true", "yes", "on"})
-_FALSY = frozenset({"0", "false", "no", "off"})
 
 
 def _warn_once(name: str, raw: str, expected: str) -> None:
@@ -102,24 +97,6 @@ def env_float(name: str, default: Optional[float] = None) -> Optional[float]:
     except ValueError:
         _warn_once(name, raw, "a number")
         return default
-
-
-def env_flag(name: str, default: bool = True) -> bool:
-    """``$name`` as a boolean, or *default*.
-
-    Accepts ``1/true/yes/on`` and ``0/false/no/off`` (case-insensitive);
-    anything else warns once and returns *default*.
-    """
-    raw = os.environ.get(name)
-    if not raw:
-        return default
-    lowered = raw.strip().lower()
-    if lowered in _TRUTHY:
-        return True
-    if lowered in _FALSY:
-        return False
-    _warn_once(name, raw, "one of 1/0/true/false/yes/no/on/off")
-    return default
 
 
 def env_choice(name: str, choices: Sequence[str], default: str) -> str:

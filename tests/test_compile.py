@@ -11,8 +11,6 @@ persistent plan cache.  These tests pin down:
 * compiled counts agree with brute force on hand-picked shapes
   (constants, repeated variables, self joins, quantifiers) and a
   random corpus;
-* the ``REPRO_COMPILED`` toggle and :func:`set_compiled_enabled`
-  override route ``"auto"`` away from the tier without breaking it;
 * compiled artifacts ride the versioned, checksummed plan envelopes
   (round-trip + corruption rejection) and warm-start from a
   :class:`PersistentPlanCache` directory;
@@ -28,16 +26,13 @@ import pytest
 
 from repro.counting.brute_force import count_brute_force
 from repro.counting.compile import (
-    COMPILED_ENV,
     CompiledProgram,
-    compiled_enabled,
     link,
     lower_acyclic,
     lower_structural,
     program_digest,
-    set_compiled_enabled,
 )
-from repro.counting.engine import clear_engine_memo, count_answers
+from repro.counting.engine import count_answers
 from repro.counting.plan_cache import PersistentPlanCache, PlanCache
 from repro.db import Database
 from repro.decomposition.serialize import (
@@ -75,14 +70,6 @@ def triangle_database() -> Database:
         "s": [(2, 3), (3, 1), (1, 2), (8, 7)],
         "t": [(3, 1), (1, 2), (2, 3)],
     })
-
-
-@pytest.fixture
-def forced_compiled():
-    """Force the tier on for the test, restoring env-deference after."""
-    set_compiled_enabled(True)
-    yield
-    set_compiled_enabled(None)
 
 
 # ----------------------------------------------------------------------
@@ -202,8 +189,7 @@ HAND_PICKED = [
 
 @pytest.mark.parametrize("label,query,database", HAND_PICKED,
                          ids=[label for label, _, _ in HAND_PICKED])
-def test_compiled_count_matches_brute_force(label, query, database,
-                                            forced_compiled):
+def test_compiled_count_matches_brute_force(label, query, database):
     result = count_answers(query, database, method="compiled", max_width=3,
                            plan_cache=PlanCache())
     assert result.strategy == "compiled"
@@ -211,7 +197,7 @@ def test_compiled_count_matches_brute_force(label, query, database,
     assert result.count == count_brute_force(query, database)
 
 
-def test_compiled_matches_brute_on_random_corpus(forced_compiled):
+def test_compiled_matches_brute_on_random_corpus():
     agreed = 0
     for seed in range(12):
         query, database = random_instance(
@@ -226,59 +212,6 @@ def test_compiled_matches_brute_on_random_corpus(forced_compiled):
         assert result.count == count_brute_force(query, database), seed
         agreed += 1
     assert agreed >= 6  # the differential is never vacuous
-
-
-# ----------------------------------------------------------------------
-# The enable toggle
-# ----------------------------------------------------------------------
-class TestToggle:
-    def test_set_compiled_enabled_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(COMPILED_ENV, "0")
-        assert not compiled_enabled()
-        set_compiled_enabled(True)
-        try:
-            assert compiled_enabled()
-        finally:
-            set_compiled_enabled(None)
-        assert not compiled_enabled()
-
-    def test_disabled_tier_routes_auto_to_interpreted(self):
-        clear_engine_memo()
-        set_compiled_enabled(False)
-        try:
-            result = count_answers(PATH, path_database(), method="auto",
-                                   plan_cache=PlanCache())
-        finally:
-            set_compiled_enabled(None)
-        assert result.strategy != "compiled"
-        assert result.count == count_brute_force(PATH, path_database())
-
-    def test_forcing_disabled_tier_raises(self):
-        set_compiled_enabled(False)
-        try:
-            with pytest.raises(DecompositionNotFoundError):
-                count_answers(PATH, path_database(), method="compiled",
-                              plan_cache=PlanCache())
-        finally:
-            set_compiled_enabled(None)
-
-    def test_disabled_probe_never_poisons_the_cache(self):
-        """A run with the tier off must not memoize "no program" — the
-        next enabled run on the same cache still compiles."""
-        cache = PlanCache()
-        set_compiled_enabled(False)
-        try:
-            off = count_answers(PATH, path_database(), plan_cache=cache)
-        finally:
-            set_compiled_enabled(None)
-        assert off.strategy != "compiled"
-        set_compiled_enabled(True)
-        try:
-            on = count_answers(PATH, path_database(), plan_cache=cache)
-        finally:
-            set_compiled_enabled(None)
-        assert on.strategy == "compiled"
-        assert on.count == off.count
 
 
 # ----------------------------------------------------------------------
@@ -305,19 +238,14 @@ class TestArtifactPersistence:
         the version participates in the cache key."""
         assert isinstance(COMPILED_FORMAT_VERSION, int)
         cache = PlanCache()
-        set_compiled_enabled(True)
-        try:
-            count_answers(PATH, path_database(), plan_cache=cache)
-        finally:
-            set_compiled_enabled(None)
+        count_answers(PATH, path_database(), plan_cache=cache)
         hot_keys = [key for key in getattr(cache, "_plans", {})
                     if "compiled" in str(key)]
         assert hot_keys, "compiled artifact never reached the plan cache"
         assert any(str(COMPILED_FORMAT_VERSION) in str(key)
                    for key in hot_keys)
 
-    def test_warm_start_from_persistent_cache(self, tmp_path,
-                                              forced_compiled):
+    def test_warm_start_from_persistent_cache(self, tmp_path):
         directory = str(tmp_path / "plans")
         cold = count_answers(PATH, path_database(),
                              plan_cache=PersistentPlanCache(directory))
@@ -334,7 +262,7 @@ class TestArtifactPersistence:
 # Service stats plumbing
 # ----------------------------------------------------------------------
 class TestStats:
-    def test_session_stats_report_compiled_counts(self, forced_compiled):
+    def test_session_stats_report_compiled_counts(self):
         jobs = [CountRequest(PATH, "main", label=f"c{i}") for i in range(3)]
         with CountingSession(databases={"main": path_database()},
                              maintain=False,
@@ -345,7 +273,7 @@ class TestStats:
         assert session.compiled_counts == 3
         assert stats["compiled_counts"] <= stats["engine_counts"]
 
-    def test_router_totals_report_compiled_counts(self, forced_compiled):
+    def test_router_totals_report_compiled_counts(self):
         stream = [AttachDatabase("alpha", triangle_database()),
                   CountRequest(TRIANGLE, "alpha", label="t0"),
                   CountRequest(TRIANGLE, "alpha", label="t1")]
@@ -359,16 +287,3 @@ class TestStats:
         assert stats["compiled_counts"] == 2
         assert sum(shard["compiled_counts"]
                    for shard in stats["per_shard"]) == 2
-
-    def test_compiled_counts_zero_when_disabled(self):
-        set_compiled_enabled(False)
-        try:
-            with CountingSession(databases={"main": path_database()},
-                                 maintain=False,
-                                 plan_cache=PlanCache()) as session:
-                session.run_stream([CountRequest(PATH, "main")])
-                stats = session.stats()
-        finally:
-            set_compiled_enabled(None)
-        assert stats["compiled_counts"] == 0
-        assert stats["engine_counts"] == 1

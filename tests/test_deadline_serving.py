@@ -25,11 +25,7 @@ import time
 
 import pytest
 
-from repro.counting.compile import (
-    KERNEL_UNITS,
-    count_kernel_ops,
-    set_compiled_enabled,
-)
+from repro.counting.compile import KERNEL_UNITS, count_kernel_ops
 from repro.counting.engine import (
     STRATEGIES,
     count_answers,
@@ -110,12 +106,8 @@ class TestEngineDeadline:
         """The old "heavy" fixture: a triangle over functional relations
         joins to a few hundred rows, and the planner prices the compiled
         generic join by that work — so it answers exactly."""
-        set_compiled_enabled(True)
-        try:
-            result = count_answers(TRIANGLE, FUNCTIONAL.with_backend("tuple"),
-                                   deadline_ms=50.0)
-        finally:
-            set_compiled_enabled(None)
+        result = count_answers(TRIANGLE, FUNCTIONAL.with_backend("tuple"),
+                               deadline_ms=50.0)
         assert result.strategy == "compiled"
         assert result.count == count_answers(TRIANGLE, FUNCTIONAL).count
         assert result.details["estimated_cost"] <= \
@@ -127,12 +119,8 @@ class TestEngineDeadline:
         the heavy fixture takes well over the 50 ms deadline — counted in
         kernel operations priced at the planner's units, a machine-
         independent figure (wall time on a 2-vCPU VM: about 300 ms)."""
-        set_compiled_enabled(True)
-        try:
-            with count_kernel_ops() as ops:
-                exact = count_answers(TRIANGLE, HEAVY, method="compiled")
-        finally:
-            set_compiled_enabled(None)
+        with count_kernel_ops() as ops:
+            exact = count_answers(TRIANGLE, HEAVY, method="compiled")
         assert exact.count > 100_000
         units = sum(KERNEL_UNITS[name] * value
                     for name, value in ops.items())

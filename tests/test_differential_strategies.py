@@ -134,42 +134,27 @@ def test_batched_service_equals_sequential_job_for_job(mode, tmp_path):
 
 
 # ----------------------------------------------------------------------
-# The compiled tier (ISSUE 6): compiled == interpreted == brute,
-# standalone and through sharded sessions in every shard-worker flavor.
+# The compiled tier: compiled == brute, standalone and through sharded
+# sessions in every shard-worker flavor (the interpreted strategies are
+# checked against brute force by test_every_applicable_strategy_agrees).
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed,query,database", CORPUS,
                          ids=[f"seed{s}" for s, _, _ in CORPUS])
 def test_compiled_agrees_with_interpreted_and_brute(seed, query, database):
-    from repro.counting.compile import set_compiled_enabled
-    from repro.counting.plan_cache import PlanCache as _PlanCache
-
     expected = count_brute_force(query, database)
-    set_compiled_enabled(True)
     try:
         compiled = count_answers(query, database, method="compiled",
-                                 max_width=3, plan_cache=_PlanCache())
+                                 max_width=3, plan_cache=PlanCache())
     except DecompositionNotFoundError:
         return  # quantified shape beyond the probe width: nothing to compile
-    finally:
-        set_compiled_enabled(None)
     assert compiled.strategy == "compiled"
     assert compiled.count == expected, f"seed {seed}"
-    set_compiled_enabled(False)
-    try:
-        interpreted = count_answers(query, database, method="auto",
-                                    max_width=3, plan_cache=_PlanCache())
-    finally:
-        set_compiled_enabled(None)
-    assert interpreted.strategy != "compiled"
-    assert interpreted.count == expected, f"seed {seed}"
 
 
 @pytest.mark.parametrize("shard_fabric", ["thread", "tcp"], indirect=True)
-def test_sharded_sessions_agree_compiled_and_uncompiled(shard_fabric,
-                                                        monkeypatch):
+def test_sharded_sessions_agree_compiled_and_uncompiled(shard_fabric):
     """The full sharded path — routing, maintenance, engine fallback —
-    returns identical counts with the compiled tier on and off."""
-    from repro.counting.compile import COMPILED_ENV
+    returns the brute-force counts."""
     from repro.service import AttachDatabase, CountRequest, \
         MultiWriterSession
 
@@ -181,15 +166,8 @@ def test_sharded_sessions_agree_compiled_and_uncompiled(shard_fabric,
                                      label=f"seed{seed}"))
         return [jobs]
 
-    def replay():
-        with MultiWriterSession(shards=2, **shard_fabric) as session:
-            (results,) = session.run_streams(streams())
-        return [r.count for r in results if hasattr(r, "count")]
-
-    monkeypatch.setenv(COMPILED_ENV, "1")
-    counts_on = replay()
-    monkeypatch.setenv(COMPILED_ENV, "0")
-    counts_off = replay()
-    assert counts_on == counts_off
-    assert counts_on == [count_brute_force(query, database)
-                         for _, query, database in CORPUS[:6]]
+    with MultiWriterSession(shards=2, **shard_fabric) as session:
+        (results,) = session.run_streams(streams())
+    counts = [r.count for r in results if hasattr(r, "count")]
+    assert counts == [count_brute_force(query, database)
+                      for _, query, database in CORPUS[:6]]

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.counting.brute_force import count_brute_force
-from repro.counting.compile import compiled_enabled
 from repro.counting.engine import STRATEGIES, count_answers
 from repro.db import Database
 from repro.exceptions import DecompositionNotFoundError, NotAcyclicError
@@ -21,16 +20,14 @@ class TestStrategySelection:
         q = parse_query("ans(A, B) :- r(A, B)")
         db = Database.from_dict({"r": [(1, 2), (3, 4)]})
         result = count_answers(q, db)
-        # The compiled tier executes the same join-tree plan when enabled.
-        expected = "compiled" if compiled_enabled() else "acyclic"
-        assert result.strategy == expected
+        # The compiled tier executes the same join-tree plan.
+        assert result.strategy == "compiled"
         assert result.count == 2
 
     def test_structural_strategy_for_q0(self):
         db = workforce_database(seed=2)
         result = count_answers(q0(), db)
-        expected = "compiled" if compiled_enabled() else "structural"
-        assert result.strategy == expected
+        assert result.strategy == "compiled"
         assert result.details["width"] == 2
         assert result.count == count_brute_force(q0(), db)
 

@@ -11,13 +11,12 @@ import warnings
 
 import pytest
 
-from repro.counting.compile import COMPILED_ENV, compiled_enabled
 from repro.db.columnar import BACKEND_ENV, default_backend
 from repro.dynamic.maintainer import (
     MAINTAINER_BUDGET_ENV,
     maintainer_budget_from_env,
 )
-from repro.envknobs import env_flag, env_float, env_int, reset_env_warnings
+from repro.envknobs import env_float, env_int, reset_env_warnings
 from repro.service.router import SESSION_SHARDS_ENV, default_shards
 
 
@@ -35,7 +34,6 @@ class TestHelpers:
             warnings.simplefilter("error")
             assert env_int("REPRO_TEST_KNOB", 7) == 7
             assert env_float("REPRO_TEST_KNOB", 1.5) == 1.5
-            assert env_flag("REPRO_TEST_KNOB", True) is True
 
     def test_empty_is_silent_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_TEST_KNOB", "")
@@ -48,10 +46,6 @@ class TestHelpers:
         assert env_int("REPRO_TEST_KNOB", 7) == 42
         monkeypatch.setenv("REPRO_TEST_KNOB", "2.5")
         assert env_float("REPRO_TEST_KNOB", 0.0) == 2.5
-        for raw, expected in (("1", True), ("true", True), ("ON", True),
-                              ("0", False), ("off", False), ("No", False)):
-            monkeypatch.setenv("REPRO_TEST_KNOB", raw)
-            assert env_flag("REPRO_TEST_KNOB", not expected) is expected
 
     def test_garbage_warns_and_falls_back(self, monkeypatch):
         monkeypatch.setenv("REPRO_TEST_KNOB", "banana")
@@ -125,14 +119,3 @@ class TestBackendKnob:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert default_backend() == "tuple"
-
-
-class TestCompiledKnob:
-    def test_valid_off(self, monkeypatch):
-        monkeypatch.setenv(COMPILED_ENV, "0")
-        assert compiled_enabled() is False
-
-    def test_garbage_warns_and_stays_enabled(self, monkeypatch):
-        monkeypatch.setenv(COMPILED_ENV, "maybe")
-        with pytest.warns(RuntimeWarning, match=COMPILED_ENV):
-            assert compiled_enabled() is True

@@ -52,7 +52,6 @@ from repro.counting.compile import (
     link,
     lower_structural,
     program_digest,
-    set_compiled_enabled,
 )
 from repro.counting.engine import (
     StrategyContext,
@@ -73,15 +72,6 @@ from repro.query.terms import Constant
 from repro.workloads.graph_patterns import heavy_triangle_database
 
 TRIANGLE = parse_query("ans(A, B, C) :- r(A, B), s(B, C), t(C, A)")
-
-
-@pytest.fixture(autouse=True)
-def compiled_tier_on():
-    """The kernel is the compiled tier's: run it even under a leg that
-    disables the tier by default."""
-    set_compiled_enabled(True)
-    yield
-    set_compiled_enabled(None)
 
 
 def _decompose(query: ConjunctiveQuery):

@@ -84,9 +84,7 @@ class TestFigure3:
     def test_counting_agrees_with_brute_force(self):
         db = workforce_database(seed=11)
         result = count_answers(q0(), db)
-        from repro.counting.compile import compiled_enabled
-        expected = "compiled" if compiled_enabled() else "structural"
-        assert result.strategy == expected
+        assert result.strategy == "compiled"
         assert result.count == count_brute_force(q0(), db)
 
 

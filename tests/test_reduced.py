@@ -18,10 +18,10 @@ its three layers independently:
   class is wider (a previously-recounting shape gets maintained);
 * **compiled construction** — the per-atom compiled matcher agrees with
   the per-row match, and a maintainer built through the bag's generic
-  join (or, with the compiled tier off, by folding each bag's distinct
-  atoms once) holds the witness counts of a reference fold over every
-  part, on both relation backends and both execution tiers, and
-  restores a checkpoint written before the generic-join build.
+  join, then updated through its delta joins, holds the witness counts
+  of a nested-loop enumeration over every part, on both relation
+  backends, and restores a checkpoint written before the generic-join
+  build.
 """
 
 from __future__ import annotations
@@ -53,10 +53,9 @@ from repro.dynamic import (
     apply_update,
 )
 from repro.dynamic.maintainer import AtomMatcher, _atom_match
-from repro.dynamic.reduced import _DynPart, _fold_witnesses
 from repro.envknobs import isolated_repro_env
 from repro.exceptions import DecompositionNotFoundError
-from repro.query import parse_query
+from repro.query import Variable, parse_query
 from repro.query.canonical import canonical_form
 from repro.service import CountingSession, CountRequest
 from repro.workloads.random_instances import random_instance
@@ -288,24 +287,34 @@ TRIANGLE_CHECKPOINT_DATA = {
 
 
 def reference_witness_counts(maintainer, database):
-    """Per bag: the witness counts of matching every part row by row and
-    folding *every* part, repeated atoms included — the construction
-    the compiled, distinct-atom fold must reproduce."""
+    """Per bag: the witness counts by a nested-loop enumeration over
+    *every* part's atom, repeated atoms included.  Each binding of the
+    parts' variables that every atom matches is one witness of the bag
+    row it projects to.  Shares no code with the maintainer's build or
+    delta joins."""
     counts = []
     for state in maintainer._bags:
-        parts = []
-        for atom in (part.atom for part in state.parts):
-            part = _DynPart(atom)
+        atoms = [part.atom for part in state.parts]
+        witnesses = Counter()
+
+        def extend(depth, binding):
+            if depth == len(atoms):
+                witnesses[tuple(binding[v] for v in state.schema)] += 1
+                return
+            atom = atoms[depth]
             for row in database[atom.relation]:
-                matched = _atom_match(atom, row)
-                if matched is not None:
-                    part.add(matched)
-            parts.append(part)
-        seed = min(parts, key=lambda p: len(p.rows))
-        counts.append(_fold_witnesses(
-            seed.schema, dict.fromkeys(seed.rows, 1),
-            [p for p in parts if p is not seed], frozenset(state.schema),
-        ))
+                bound = dict(binding)
+                for term, value in zip(atom.terms, row):
+                    if isinstance(term, Variable):
+                        if bound.setdefault(term, value) != value:
+                            break
+                    elif term.value != value:
+                        break
+                else:
+                    extend(depth + 1, bound)
+
+        extend(0, {})
+        counts.append(dict(witnesses))
     return counts
 
 
@@ -327,18 +336,16 @@ class TestCompiledConstruction:
             assert None not in expected  # plain atoms match every row
 
     @pytest.mark.parametrize("backend", ["tuple", "columnar"])
-    @pytest.mark.parametrize("compiled", ["1", "0"])
     @pytest.mark.parametrize("query", FOLDED_QUERIES, ids=FOLDED_IDS)
     @settings(**PROPERTY_SETTINGS)
     @given(seed=st.integers(min_value=0, max_value=10_000))
-    def test_distinct_atom_fold_matches_every_part(self, backend, compiled,
-                                                   query, seed):
+    def test_distinct_atom_fold_matches_every_part(self, backend, query,
+                                                   seed):
         rng = random.Random(seed)
         data = {name: list({(rng.randrange(4), rng.randrange(4))
                             for _ in range(rng.randrange(1, 12))})
                 for name in sorted(query.relation_symbols)}
-        with isolated_repro_env(REPRO_BACKEND=backend,
-                                REPRO_COMPILED=compiled):
+        with isolated_repro_env(REPRO_BACKEND=backend):
             database = Database.from_dict(data)
             maintainer = ReducedMaintainer(query, database)
             assert maintainer.witness_counts() == reference_witness_counts(
@@ -362,7 +369,7 @@ class TestCompiledConstruction:
         completions: on a dense graph, some bag row has several."""
         edges = [(a, b) for a in range(4) for b in range(4) if a != b]
         data = {name: edges for name in "rstuv"}
-        with isolated_repro_env(REPRO_BACKEND=backend, REPRO_COMPILED="1"):
+        with isolated_repro_env(REPRO_BACKEND=backend):
             database = Database.from_dict(data)
             maintainer = ReducedMaintainer(FIVE_CYCLE, database)
             counts = maintainer.witness_counts()
@@ -370,27 +377,6 @@ class TestCompiledConstruction:
             assert max(max(bag.values()) for bag in counts) > 1
             assert maintainer.count == count_brute_force(FIVE_CYCLE,
                                                          database)
-
-    @pytest.mark.parametrize("query", FOLDED_QUERIES, ids=FOLDED_IDS)
-    def test_kernel_build_keeps_the_maintainer_state(self, query):
-        """The generic-join build and the pairwise fold leave the same
-        parts, part rows and witness counts, in the same checkpoint
-        format."""
-        rng = random.Random(7)
-        data = {name: list({(rng.randrange(4), rng.randrange(4))
-                            for _ in range(10)})
-                for name in sorted(query.relation_symbols)}
-        built = {}
-        for compiled in ("1", "0"):
-            with isolated_repro_env(REPRO_COMPILED=compiled):
-                maintainer = ReducedMaintainer(query, Database.from_dict(data))
-                built[compiled] = (
-                    [[(part.atom, part.rows) for part in state.parts]
-                     for state in maintainer._bags],
-                    maintainer.witness_counts(),
-                )
-        assert built["1"] == built["0"]
-        assert MAINTAINER_FORMAT_VERSION == 3
 
     def test_checkpoint_written_by_the_fold_build_restores(self):
         database = Database.from_dict(TRIANGLE_CHECKPOINT_DATA)
@@ -463,7 +449,6 @@ class TestDeltaReducerProperty:
     @staticmethod
     def random_tree(rng):
         from repro.hypergraph.acyclicity import JoinTree
-        from repro.query.terms import Variable
 
         n = rng.randint(1, 6)
         edges = tuple((rng.randrange(v), v) for v in range(1, n))

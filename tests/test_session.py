@@ -175,9 +175,7 @@ class TestMaintainerRouting:
         with CountingSession(databases={"main": path_database()},
                              maintain=False) as session:
             result = session.count(CountRequest(PATH, "main"))
-            from repro.counting.compile import compiled_enabled
-            expected = "compiled" if compiled_enabled() else "acyclic"
-            assert result.strategy == expected
+            assert result.strategy == "compiled"
             assert session.stats()["maintainers"]["maintainers"] == 0
 
     def test_reattach_drops_maintainers_and_serves_new_contents(self):

@@ -11,7 +11,6 @@ import random
 import pytest
 
 from repro.counting.brute_force import count_brute_force
-from repro.counting.compile import compiled_enabled
 from repro.counting.engine import (
     STRATEGIES,
     StrategyContext,
@@ -79,15 +78,12 @@ class TestCostRankedAuto:
         })
         result = count_answers(q, db)
         # The compiled tier's estimate ignores the (once-per-shape,
-        # cached) lowering search, so when enabled it outranks brute
-        # force even here; the interpreted ranking is preserved under
-        # REPRO_COMPILED=0.
-        expected = "compiled" if compiled_enabled() else "brute_force"
-        assert result.strategy == expected
+        # cached) lowering search, so it outranks brute force even here.
+        assert result.strategy == "compiled"
         assert result.count == count_brute_force(q, db)
         trail = result.details["decision_trail"]
         by_name = {entry["strategy"]: entry for entry in trail}
-        chosen = by_name[expected]
+        chosen = by_name["compiled"]
         assert chosen["chosen"]
         # Structural was estimated as more expensive and therefore ranked
         # (and probed, if at all) after the winner.
@@ -100,8 +96,7 @@ class TestCostRankedAuto:
 
         db = workforce_database(seed=5)
         result = count_answers(q0(), db)
-        expected = "compiled" if compiled_enabled() else "structural"
-        assert result.strategy == expected
+        assert result.strategy == "compiled"
         trail = result.details["decision_trail"]
         by_name = {entry["strategy"]: entry for entry in trail}
         assert by_name["brute_force"]["estimated_cost"] > \
@@ -112,8 +107,7 @@ class TestCostRankedAuto:
         q = parse_query("ans(A, B) :- r(A, B)")
         db = Database.from_dict({"r": [(1, 2), (3, 4)]})
         result = count_answers(q, db)
-        expected = "compiled" if compiled_enabled() else "acyclic"
-        assert result.strategy == expected
+        assert result.strategy == "compiled"
         assert result.details["estimated_cost"] >= 0
         assert result.details["actual_seconds"] >= 0
         assert any(entry["chosen"] for entry in
