@@ -48,6 +48,15 @@ build pays before its first read:
   once and folds the parts pairwise (the construction before the
   generic join) by at least 1.5x.
 
+One ledger figure, with a correctness check but no speed bar:
+
+* **restore reads** — in a session whose budget keeps one maintainer,
+  alternating update-then-read rounds over the quantified star and the
+  triangle make every read spill the other maintainer, restore this
+  one from its checkpoint plus journal and reseed it; the median and
+  p95 of those reads are recorded as ``restore_ms``, and every
+  restored count must equal a fresh build's.
+
 Standalone usage (CI artifact)::
 
     PYTHONPATH=src python benchmarks/bench_reduced.py -o bench-reduced.json
@@ -548,12 +557,69 @@ def measure_build() -> dict:
     }
 
 
+# ----------------------------------------------------------------------
+# Part 5: restore reads in a spill-forced session (ledger, no bar)
+# ----------------------------------------------------------------------
+def _percentiles(samples) -> dict:
+    ordered = sorted(samples)
+    p95 = ordered[min(len(ordered) - 1, int(0.95 * len(ordered)))]
+    return {"p50": round(statistics.median(ordered), 3),
+            "p95": round(p95, 3)}
+
+
+def measure_restore() -> dict:
+    """Restore reads in a session whose one-byte budget keeps only the
+    most recently read maintainer: before each read one update lands
+    in the cold maintainer's journal, and the read spills the other
+    maintainer, restores this one (checkpoint decode plus journal
+    replay) and reads it (the reseed).  Every restored count must equal
+    a fresh build's."""
+    shapes = {"quantified": (QUANT_QUERY, quantified_database(),
+                             quantified_updates()),
+              "triangle": (TRI_QUERY, triangle_database(),
+                           triangle_updates())}
+    samples = {name: [] for name in shapes}
+    correct = True
+    with _isolated_from_configured_env(), CountingSession(
+            databases={name: database
+                       for name, (_q, database, _u) in shapes.items()},
+            maintainer_budget_bytes=1) as session:
+        for name, (query, _database, _updates) in shapes.items():
+            session.count(CountRequest(query, name))  # the builds
+        gc.collect()
+        for index in range(ROUNDS):
+            for name, (query, _database, updates) in shapes.items():
+                session.update(name, updates[index])
+                started = time.perf_counter()
+                count = session.count(CountRequest(query, name)).count
+                samples[name].append(
+                    (time.perf_counter() - started) * 1000)
+                fresh = ReducedMaintainer(query, session.database(name))
+                correct = correct and count == fresh.count
+        pool = session.stats()["maintainers"]
+    reads = sum(len(runs) for runs in samples.values())
+    restore_ms = _percentiles(
+        [ms for runs in samples.values() for ms in runs])
+    restore_ms.update({name: _percentiles(runs)
+                       for name, runs in samples.items()})
+    return {
+        "restore_workload": f"{ROUNDS} update-then-read rounds per "
+                            f"shape, alternating a {STAR_BRANCHES}-branch "
+                            f"quantified star and a {TRI_EDGES}-edge "
+                            f"triangle under a one-byte budget",
+        "restore_ms": restore_ms,
+        "restore_reads": reads,
+        "restore_correct": correct and pool["restored"] == reads,
+    }
+
+
 def snapshot() -> dict:
     """The benchmark's JSON snapshot (merged into ``BENCH_kernel.json``)."""
     result = measure_reduced_streams()
     result.update(measure_spill())
     result.update(measure_odelta())
     result.update(measure_build())
+    result.update(measure_restore())
     return result
 
 
@@ -629,6 +695,13 @@ def test_generic_join_build_at_least_1_5x_faster_than_the_fold():
     )
 
 
+def test_restore_reads_match_a_fresh_build():
+    """Every read in the spill-forced restore ledger restored its
+    maintainer and counted what a fresh build counts."""
+    outcome = measure_restore()
+    assert outcome["restore_correct"], outcome
+
+
 if __name__ == "__main__":  # pragma: no cover - CI artifact entry point
     import argparse
     import json
@@ -658,6 +731,9 @@ if __name__ == "__main__":  # pragma: no cover - CI artifact entry point
     if not result["meets_reduced_kernel_build_bar"]:
         failed.append("triangle maintainer construction is not >= 1.5x "
                       "faster than the distinct-atom fold")
+    if not result["restore_correct"]:
+        failed.append("a spill-forced restore read did not restore, or "
+                      "counted differently from a fresh build")
     for message in failed:
         print(f"FAILED: {message}", file=sys.stderr)
     if failed:

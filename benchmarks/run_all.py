@@ -177,6 +177,8 @@ _HEADLINES = (
     ("shard_speedup", ("shards", "shard_speedup")),
     ("reduced_speedup", ("reduced", "reduced_speedup")),
     ("reduced_build_ms", ("reduced", "build_ms", "triangle")),
+    ("reduced_restore_p50_ms", ("reduced", "restore_ms", "p50")),
+    ("reduced_restore_p95_ms", ("reduced", "restore_ms", "p95")),
     ("compiled_speedup_geomean",
      ("compiled", "compiled_speedup_geomean")),
     ("projected_path3_ad_ms",
@@ -340,6 +342,15 @@ def main(argv=None) -> int:
             failures += 1
             print("[bench]   FAILED (generic-join construction below the "
                   "1.5x bar)", flush=True)
+        restore = snapshot["reduced"]["restore_ms"]
+        print(f"[bench] reduced restore read: p50 {restore['p50']}ms, "
+              f"p95 {restore['p95']}ms over "
+              f"{snapshot['reduced']['restore_reads']} spill-forced reads",
+              flush=True)
+        if not snapshot["reduced"]["restore_correct"]:
+            failures += 1
+            print("[bench]   FAILED (a restore read did not restore, or "
+                  "miscounted against a fresh build)", flush=True)
         snapshot["compiled"] = compiled_snapshot()
         print(f"[bench] compiled: "
               f"{snapshot['compiled']['compiled_speedup_geomean']}x geomean "

@@ -85,7 +85,6 @@ path, which is always exact.
 
 from __future__ import annotations
 
-import gc
 import hashlib
 import math
 import weakref
@@ -98,6 +97,7 @@ from operator import itemgetter
 from typing import (Dict, Hashable, Iterator, List, Optional, Sequence, Set,
                     Tuple)
 
+from ..collector import collector_paused
 from ..consistency.local import CompiledReducer
 from ..db.algebra import _key_getter, _row_getter
 from ..db.columnar import (
@@ -1001,13 +1001,15 @@ class _LinkedBag:
                     return first
                 first &= scan.rows(database)
             return first
-        return _collector_paused(self._join, database)
+        with collector_paused():
+            return self._join(database)
 
     def count(self, database: Database) -> int:
         """``|pi_kept(bag)|`` of a counted bag, without materializing it."""
         if self.mode == "scan":  # the scan already projects onto the kept
             return len(self.scans[0].rows(database))
-        return _collector_paused(self._count, database)
+        with collector_paused():
+            return self._count(database)
 
     def witnesses(self, database: Database) -> Dict[tuple, int]:
         """Each kept tuple's number of completions over the projected-away
@@ -1015,7 +1017,8 @@ class _LinkedBag:
         counts."""
         if self.kept == len(self.levels):
             return dict.fromkeys(self.rows(database), 1)
-        return _collector_paused(self._witnesses, database)
+        with collector_paused():
+            return self._witnesses(database)
 
     def _witnesses(self, database: Database) -> Dict[tuple, int]:
         resolved = self._probes(database)
@@ -1243,23 +1246,6 @@ def _completions(probes: Sequence, wide: Sequence[bool], last: int,
         return len(found)
     return sum(map(partial(_completions, probes, wide, last, level + 1),
                    _extend(binding, found, wide[level])))
-
-
-def _collector_paused(run, database: Database):
-    """``run(database)`` with the cyclic garbage collector paused.
-
-    The generic join allocates its indexes and rows in bulk, and none
-    of them can form a reference cycle.  With the collector running
-    mid-join those short-lived containers survive into the oldest
-    generation and trigger full collections (100+ ms pauses on a large
-    heap)."""
-    if not gc.isenabled():
-        return run(database)
-    gc.disable()
-    try:
-        return run(database)
-    finally:
-        gc.enable()
 
 
 def _extend(binding: tuple, found, wide: bool) -> list:

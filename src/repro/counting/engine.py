@@ -708,10 +708,12 @@ class CountResult:
 
     ``CountResult(count, strategy, details)`` holds *details* as given.
     Results of :func:`count_answers` keep the engine's decision as
-    compact data instead (a :class:`_Decision`) and render
-    :attr:`details` — a plain JSON-serializable dict — on first read:
-    results are kept by the thousand (batch outputs, stream replays,
-    benchmark logs), and most are never inspected.
+    compact data instead (a :class:`_Decision`), and so do maintained
+    session counts (a small record of what the maintainer served);
+    either renders :attr:`details` — a plain JSON-serializable dict —
+    on first read: results are kept by the thousand (batch outputs,
+    stream replays, benchmark logs), and most are never inspected.
+    :meth:`label` tags a result with its job without rendering it.
     """
 
     __slots__ = ("count", "strategy", "_details", "_decision")
@@ -726,10 +728,23 @@ class CountResult:
     @classmethod
     def _decided(cls, count: int, strategy: str,
                  decision: "_Decision") -> "CountResult":
-        result = cls(count, strategy)
+        """A result whose details *decision* renders on first read: any
+        object with a ``job`` attribute and a ``render()`` method that
+        returns the details dict, ``job`` (when set) as its last key."""
+        result = cls.__new__(cls)
+        result.count = count
+        result.strategy = strategy
         result._details = None
         result._decision = decision
         return result
+
+    def label(self, job: str) -> None:
+        """Set ``details["job"]`` — last, as if appended after rendering
+        — leaving compact details unrendered."""
+        if self._details is None:
+            self._decision.job = job
+        else:
+            self._details["job"] = job
 
     @property
     def details(self) -> Dict[str, object]:
@@ -867,11 +882,12 @@ class _Decision:
     ``names`` flattens the canonical -> caller variable names
     (``None`` when no detail mentions a variable); an auto decision
     carries the cost ranking, its estimates (packed doubles when every
-    estimate is a float) and one flag byte per strategy.
+    estimate is a float) and one flag byte per strategy; ``job`` is the
+    label :meth:`CountResult.label` set, rendered last.
     """
 
     __slots__ = ("runner", "names", "digest", "ranking", "costs",
-                 "flags", "seconds", "deadline_ms", "budget")
+                 "flags", "seconds", "deadline_ms", "budget", "job")
 
     def __init__(self, runner: Dict[str, object], form: CanonicalForm,
                  deadline_ms: Optional[float],
@@ -899,6 +915,7 @@ class _Decision:
         self.flags = bytes(flags)
         self.seconds = seconds
         self.budget = budget
+        self.job: Optional[str] = None
 
     def render(self) -> Dict[str, object]:
         """The details dict, exactly as the engine always reported it."""
@@ -938,7 +955,10 @@ class _Decision:
             details["bag_kernels"] = "; ".join(
                 _render_bag(bag, names) for bag in details["bag_kernels"])
         details["plan_fingerprint"] = self.digest
-        return _json_safe(details)
+        details = _json_safe(details)
+        if self.job is not None:
+            details["job"] = self.job
+        return details
 
 
 def count_answers(query: ConjunctiveQuery, database: Database,

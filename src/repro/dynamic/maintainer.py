@@ -37,6 +37,7 @@ from typing import (
     Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple,
 )
 
+from ..collector import collector_paused
 from ..db.algebra import _row_getter
 from ..db.database import Database
 from ..decomposition.serialize import (
@@ -877,16 +878,22 @@ class MaintainerPool:
                tuple(sorted(form.symbol_map.items())))
         entry = self._entries.get(key)
         if entry is None:
-            entry = self._restore(key)
-            if entry is None:
-                canonical_database = database.renamed_restriction(
-                    form.symbol_map
-                )
-                counter = self._build_counter(form.query, canonical_database)
-                entry = SharedMaintainer(counter, dict(form.symbol_map))
-                self.built += 1
-            self._entries[key] = entry
-            self._enforce_bounds()
+            # A miss decodes a checkpoint and replays its journal, or
+            # builds afresh, and spills the evictions either forces: bulk
+            # allocation that makes no reference cycles, so the collector
+            # waits until it is over (see :mod:`repro.collector`).
+            with collector_paused():
+                entry = self._restore(key)
+                if entry is None:
+                    canonical_database = database.renamed_restriction(
+                        form.symbol_map
+                    )
+                    counter = self._build_counter(form.query,
+                                                  canonical_database)
+                    entry = SharedMaintainer(counter, dict(form.symbol_map))
+                    self.built += 1
+                self._entries[key] = entry
+                self._enforce_bounds()
         else:
             self._entries.move_to_end(key)
             self._note_peak()

@@ -67,6 +67,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple
 
+from ..collector import collector_paused
 from ..consistency.delta import DeltaReducer
 from ..counting.compile import bag_witness_counts
 from ..db.algebra import _row_getter
@@ -571,31 +572,35 @@ class ReducedMaintainer:
             # rebuild_consistency): full reduction over the resident bag
             # rows, then diff each bag's fed target against what the
             # inner DP was last known to hold — the pickled support
-            # multiset plus gate flag describe that exactly.
-            old_feds = [self._fed_target(state) for state in self._bags]
-            reducer = self._delta_reducer = self._make_reducer()
-            reducer.reduce([frozenset(state.counts) for state in self._bags])
-            self._nonempty = not reducer.any_empty()
-            for index, state in enumerate(self._bags):
-                state.pending_added.clear()
-                state.pending_removed.clear()
-                if state.inner_symbol is None:
-                    continue
-                survivors = reducer.survivors(index)
-                if state.free_positions is None:
-                    state.fed_support = dict.fromkeys(survivors, 1)
-                else:
-                    project = _row_getter(state.free_positions)
-                    support: Dict[Row, int] = {}
-                    for row in survivors:
-                        key = project(row)
-                        support[key] = support.get(key, 0) + 1
-                    state.fed_support = support
-                target = self._fed_target(state)
-                for row in target - old_feds[index]:
-                    deltas.append(Insert(state.inner_symbol, row))
-                for row in old_feds[index] - target:
-                    deltas.append(Delete(state.inner_symbol, row))
+            # multiset plus gate flag describe that exactly.  The reseed
+            # allocates in bulk and makes no reference cycles, so the
+            # collector waits until it is over.
+            with collector_paused():
+                old_feds = [self._fed_target(state) for state in self._bags]
+                reducer = self._delta_reducer = self._make_reducer()
+                reducer.reduce([frozenset(state.counts)
+                                for state in self._bags])
+                self._nonempty = not reducer.any_empty()
+                for index, state in enumerate(self._bags):
+                    state.pending_added.clear()
+                    state.pending_removed.clear()
+                    if state.inner_symbol is None:
+                        continue
+                    survivors = reducer.survivors(index)
+                    if state.free_positions is None:
+                        state.fed_support = dict.fromkeys(survivors, 1)
+                    else:
+                        project = _row_getter(state.free_positions)
+                        support: Dict[Row, int] = {}
+                        for row in survivors:
+                            key = project(row)
+                            support[key] = support.get(key, 0) + 1
+                        state.fed_support = support
+                    target = self._fed_target(state)
+                    for row in target - old_feds[index]:
+                        deltas.append(Insert(state.inner_symbol, row))
+                    for row in old_feds[index] - target:
+                        deltas.append(Delete(state.inner_symbol, row))
         else:
             # Frontier repair: per dirty bag, apply the recorded
             # membership flips and merge the survivor diffs (a row's

@@ -59,7 +59,7 @@ class CountingService:
                                plan_cache=self.plan_cache,
                                **job.engine_kwargs())
         if job.label is not None:
-            result.details["job"] = job.label
+            result.label(job.label)
         return result
 
     def run_batch(self, jobs: Sequence[CountJob]) -> List[CountResult]:

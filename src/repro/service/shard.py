@@ -48,6 +48,34 @@ from .jobs import CountJob
 from .service import CountingService
 
 
+class _Served:
+    """What a maintained count's details say, kept as data until read
+    (see :class:`~repro.counting.engine.CountResult`): a session keeps
+    its results by the thousand, most never inspected."""
+
+    __slots__ = ("reduced", "database", "digest", "clients", "job")
+
+    def __init__(self, reduced: bool, database: str, digest: str,
+                 clients: int, job: Optional[str]):
+        self.reduced = reduced
+        self.database = database
+        self.digest = digest
+        self.clients = clients
+        self.job = job
+
+    def render(self) -> dict:
+        details = {
+            "maintained": True,
+            "reduced": self.reduced,
+            "database": self.database,
+            "plan_fingerprint": self.digest,
+            "shared_clients": self.clients,
+        }
+        if self.job is not None:
+            details["job"] = self.job
+        return details
+
+
 class SessionShard:
     """One serialization domain of the session front end.
 
@@ -269,18 +297,11 @@ class SessionShard:
         reduced = isinstance(entry.counter, ReducedMaintainer)
         if reduced:
             self.reduced_counts += 1
-        details = {
-            "maintained": True,
-            "reduced": reduced,
-            "database": request.database,
-            "plan_fingerprint": form.digest,
-            "shared_clients": len(entry.clients),
-        }
-        if request.label is not None:
-            details["job"] = request.label
+        served = _Served(reduced, request.database, form.digest,
+                         len(entry.clients), request.label)
         count = entry.count  # may lazily repair (and grow) the DP
         self._maintainers.note_read(entry)
-        return CountResult(count, "maintained", details)
+        return CountResult._decided(count, "maintained", served)
 
     def engine_job(self, request) -> CountJob:
         """*request* as a :class:`CountJob` bound to the database version

@@ -7,7 +7,8 @@ flag byte per strategy, the caller's variable names — and renders
 rendering is the documented details layout (same keys, same order, same
 values on every path: auto, forced, deadline-skipped, approximate and
 deadline-missed), that ``explain()``, ``result_to_dict``, pickling and
-equality all see it, and that a retained compiled result stays small.
+equality all see it, and that retained compiled and maintained results
+stay small.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from repro.counting.plan_cache import PlanCache
 from repro.db import Database
 from repro.query import parse_query
 from repro.query.canonical import random_renaming
+from repro.service import CountingSession, CountRequest
 from repro.service.jobs import json_safe, result_to_dict
 from repro.workloads.graph_patterns import gnp_graph
 
@@ -170,3 +172,41 @@ def test_retained_compiled_results_are_small():
     retained = sum(stat.size_diff
                    for stat in after.compare_to(before, "filename"))
     assert retained / len(kept) <= 700, retained / len(kept)
+
+
+def test_retained_maintained_results_are_small():
+    """A kept labelled maintained result costs at most 300 B: the
+    session keeps what the maintainer served as a small record and
+    renders the details dict (same keys, same order, ``job`` last) only
+    when it is read."""
+    database = _graph()
+    requests = [CountRequest(PATH, "main", label=f"job-{i}")
+                for i in range(400)]
+    with CountingSession(databases={"main": database},
+                         maintainer_budget_bytes=None) as session:
+        for request in requests:  # warm the pool on these very objects
+            session.count(request)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.take_snapshot()
+            kept = [session.count(request) for request in requests]
+            gc.collect()
+            after = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        digest = session.plan_cache.canonical(PATH).digest
+    assert {result.strategy for result in kept} == {"maintained"}
+    retained = sum(stat.size_diff
+                   for stat in after.compare_to(before, "filename"))
+    assert retained / len(kept) <= 300, retained / len(kept)
+    for request, result in zip(requests, kept):
+        assert result.details == {
+            "maintained": True, "reduced": False, "database": "main",
+            "plan_fingerprint": digest, "shared_clients": 1,
+            "job": request.label}
+        assert list(result.details)[-1] == "job"
+    first = kept[0]
+    plain = CountResult(first.count, "maintained", dict(first.details))
+    assert first == plain and repr(first) == repr(plain)
+    assert pickle.dumps(first) == pickle.dumps(plain)

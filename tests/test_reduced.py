@@ -26,6 +26,7 @@ its three layers independently:
 
 from __future__ import annotations
 
+import gc
 import pickle
 import random
 from collections import Counter
@@ -662,6 +663,53 @@ class TestReducedMaintainerPool:
                 "db", TRIANGLE, database, self._form(TRIANGLE)
             ).count == count_brute_force(TRIANGLE, database)
         pool.close()
+
+    @pytest.mark.parametrize("query", [STAR, TRIANGLE],
+                             ids=["quantified_star", "triangle"])
+    def test_restore_starts_no_collection(self, query, tmp_path,
+                                          monkeypatch):
+        """Decoding a checkpoint and replaying its journal allocates
+        thousands of tracked objects and makes no reference cycles: the
+        pool holds the collector off across it, so no collection (and
+        no full-heap one) starts in the middle of a decode."""
+        rng = random.Random(3)
+        database = seed_database(rng, size=300, domain=40)
+        pool = MaintainerPool(budget_bytes=int(0.05 * 2 ** 20),
+                              spill_dir=str(tmp_path))
+        restoring = []
+        started = []
+        restore = MaintainerPool._restore
+
+        def watched_restore(self, key):
+            restoring.append(key)
+            try:
+                return restore(self, key)
+            finally:
+                restoring.pop()
+
+        def watch(phase, info):
+            if phase == "start" and restoring:
+                started.append(info["generation"])
+
+        monkeypatch.setattr(MaintainerPool, "_restore", watched_restore)
+        gc.callbacks.append(watch)
+        gc.enable()
+        try:
+            for _round in range(3):
+                for shape in (query, QUANT):  # each evicts the other
+                    entry = pool.counter_for("db", shape, database,
+                                             self._form(shape))
+                    assert entry.count == count_answers(shape,
+                                                        database).count
+                for _step in range(5):  # land in the cold journal
+                    update = random_update(rng, database, domain=40)
+                    database = apply_update(database, update)
+                    pool.apply("db", [update])
+        finally:
+            gc.callbacks.remove(watch)
+            pool.close()
+        assert pool.restored >= 4 and pool.restore_failures == 0
+        assert started == []
 
     def test_pickle_roundtrip_reseeds_and_matches_rebuild(self):
         """A checkpoint (pickle) round trip drops the delta reducer; the
