@@ -14,8 +14,9 @@ The acceptance bars of ISSUE 8, asserted here and recorded into
   framing/RTT overhead must not eat that win: >= 1.0x on the same jobs,
   counts bit-identical, and it holds on a single-core host.
 * **graceful handoff pauses a database for a bounded window** — a
-  :class:`~repro.service.net.ShardDirectory` moves a live maintained
-  database between two shard servers mid-stream.  No job is lost or
+  ``tcp`` :class:`~repro.service.MultiWriterSession` hands the lane of
+  a live maintained database from one shard server to the other
+  mid-stream.  No job is lost or
   doubled (counts match the from-scratch oracle) and the
   checkpoint-ship-restore pause stays under
   :data:`HANDOFF_PAUSE_BOUND_S`.
@@ -82,7 +83,6 @@ from repro.service.net import (
     FaultyTransport,
     FrameDecoder,
     ShardClient,
-    ShardDirectory,
     ShardServer,
     encode_frame,
     job_from_wire,
@@ -411,14 +411,15 @@ def measure_handoff() -> dict:
             ]
 
         with spawn_shard_server() as first, spawn_shard_server() as second:
-            with ShardDirectory([first.address, second.address]) as fabric:
+            with MultiWriterSession(
+                    shard_addrs=[first.address, second.address]) as fabric:
                 fabric.run_stream([AttachDatabase(database_name,
                                                   star_database(0))])
                 observed = []
                 move = None
                 for round_index in range(rounds):
                     if round_index == rounds // 2:
-                        source = fabric.assignment()[database_name]
+                        source = fabric.address_of(database_name)
                         target = (second.address
                                   if source == first.address
                                   else first.address)

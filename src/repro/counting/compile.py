@@ -363,19 +363,24 @@ def _fold_order(seed: int, schemas: Sequence[Tuple[Variable, ...]],
 
 
 def _lower_bag_join(part_schemas: Sequence[Tuple[Variable, ...]],
-                    keep: frozenset) -> Tuple[int, Tuple[FoldStep, ...],
-                                              Tuple[Variable, ...]]:
+                    keep: frozenset, start: Optional[int] = None
+                    ) -> Tuple[int, Tuple[FoldStep, ...],
+                               Tuple[Variable, ...]]:
     """Lower ``pi_keep(part_0 |><| ... |><| part_n)`` to a fold schedule.
 
     Returns ``(start part, fold steps, final schema)`` where every
     intermediate is projected down to the columns still needed (the
     ``keep`` set plus join columns of parts not yet folded), mirroring
     the interpreted :func:`~repro.db.algebra.join_project` push-down.
+    The fold starts from the smallest part unless *start* forces one
+    (a maintainer's delta join starts from the changed part's delta).
     """
     order = sorted(range(len(part_schemas)),
                    key=lambda i: (len(part_schemas[i]), i))
-    start = order[0]
-    ordered = _fold_order(start, part_schemas, order[1:])
+    if start is None:
+        start = order[0]
+    ordered = _fold_order(start, part_schemas,
+                          [i for i in order if i != start])
     schema = part_schemas[start]
     steps: List[FoldStep] = []
     for rank, part in enumerate(ordered):

@@ -322,10 +322,6 @@ class PlanCache:
             self.invalidated += dropped
         return dropped
 
-    def invalidate_relation(self, relation: Relation) -> int:
-        """Drop every plan that depended on *relation*'s current contents."""
-        return self.invalidate_tags(relation_content_tag(relation))
-
     # ------------------------------------------------------------------
     def clear(self) -> None:
         """Drop every cached plan and canonical form, in every tier

@@ -27,15 +27,6 @@ from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, Mapping, Tuple
 from ..exceptions import SchemaError
 from ..query.atom import Atom
 from ..query.terms import Constant, Variable
-from .columnar import (
-    ColumnarFallback,
-    ColumnarRelation,
-    KeyAggregate,
-    columnar_kernels_available,
-    identity_frame,
-    join_frames,
-    semijoin_frames,
-)
 from .relation import Relation
 
 Row = Tuple[Hashable, ...]
@@ -472,146 +463,6 @@ def join_all(parts: Iterable[SubstitutionSet]) -> SubstitutionSet:
     return fold_connected(
         parts, lambda a, b: a.join(b), SubstitutionSet.unit
     )
-
-
-# ----------------------------------------------------------------------
-# Backend-dispatching relation operators.
-#
-# These run directly over Relation instances (not substitution sets) and
-# pick the execution strategy from the operands' backend: two columnar
-# relations go through the vectorized code-space kernels of
-# :mod:`repro.db.columnar`; anything else — tuple relations, mixed-
-# backend pairs, kernels unavailable, or a kernel raising
-# :class:`~repro.db.columnar.ColumnarFallback` — takes the index-driven
-# tuple path.  Results keep the columnar backend when the fast path ran.
-# ----------------------------------------------------------------------
-def _columnar_pair(left: Relation, right: Relation) -> bool:
-    return (isinstance(left, ColumnarRelation)
-            and isinstance(right, ColumnarRelation)
-            and columnar_kernels_available())
-
-
-def relation_join(left: Relation, right: Relation,
-                  on: Iterable[Tuple[int, int]],
-                  name: str | None = None) -> Relation:
-    """``pi(left |><| right)`` on position pairs *on*.
-
-    The result's columns are all of *left*'s followed by *right*'s
-    columns not named in *on* (the join columns appear once, from the
-    left side); rows are deduplicated.  Columnar operands run the join
-    entirely in code space — keys are compared through cached dictionary
-    translations, matches expanded with ``searchsorted``/``repeat`` —
-    and the result is columnar.
-    """
-    on = tuple((int(a), int(b)) for a, b in on)
-    if name is None:
-        name = f"{left.name}*{right.name}"
-    drop = {b for _, b in on}
-    keep_right = tuple(j for j in range(right.arity) if j not in drop)
-    arity = left.arity + len(keep_right)
-    if _columnar_pair(left, right):
-        try:
-            frame = join_frames(
-                identity_frame(left), identity_frame(right),
-                tuple(a for a, _ in on), tuple(b for _, b in on),
-                tuple(range(left.arity)) + tuple(
-                    left.arity + j for j in keep_right
-                ),
-                left.arity,
-            )
-            return ColumnarRelation.from_columns(
-                name, frame.dicts, frame.cols, frame.n
-            )
-        except ColumnarFallback:
-            pass
-    index = right.index_on(tuple(b for _, b in on))
-    key_of = _row_getter(tuple(a for a, _ in on))
-    extra_of = _row_getter(keep_right)
-    rows = set()
-    add = rows.add
-    get = index.get
-    for row in left:
-        bucket = get(key_of(row))
-        if bucket:
-            for other in bucket:
-                add(row + extra_of(other))
-    return type(left)(name, arity, rows)
-
-
-def relation_semijoin(left: Relation, right: Relation,
-                      on: Iterable[Tuple[int, int]]) -> Relation:
-    """``left |>< right``: rows of *left* with a key match in *right*.
-
-    Columnar operands run a key-set membership scan over encoded
-    columns (``isin`` on combined int64 codes); the unfiltered case
-    returns *left* itself, caches intact.
-    """
-    on = tuple((int(a), int(b)) for a, b in on)
-    if not on:
-        raise SchemaError("relation_semijoin needs at least one position pair")
-    if _columnar_pair(left, right):
-        try:
-            frame = identity_frame(left)
-            filtered = semijoin_frames(
-                frame, identity_frame(right),
-                tuple(a for a, _ in on), tuple(b for _, b in on),
-            )
-            if filtered is frame:
-                return left
-            return ColumnarRelation.from_columns(
-                left.name, filtered.dicts, filtered.cols, filtered.n
-            )
-        except ColumnarFallback:
-            pass
-    keys = set(map(_row_getter(tuple(b for _, b in on)), right))
-    key_of = _row_getter(tuple(a for a, _ in on))
-    kept = frozenset(row for row in left if key_of(row) in keys)
-    if len(kept) == len(left):
-        return left
-    return type(left)(left.name, left.arity, kept)
-
-
-def relation_project_counts(relation: Relation,
-                            positions: Iterable[int]) -> Dict[Row, int]:
-    """``{projected_row: multiplicity}`` for ``pi_positions(relation)``.
-
-    The columnar path groups the encoded key columns directly
-    (sort + segment boundaries over combined int64 codes) and decodes
-    only the distinct keys — no per-row tuple is ever materialized.
-    """
-    positions = tuple(int(p) for p in positions)
-    if isinstance(relation, ColumnarRelation) and columnar_kernels_available():
-        try:
-            frame = identity_frame(relation)
-            cols = [frame.cols[p] for p in positions]
-            dicts = [frame.dicts[p] for p in positions]
-            aggregate = frame.cached(
-                ("agg", positions),
-                lambda: KeyAggregate.over(cols, dicts, frame.n),
-            )
-            # Strict mixed-radix codes decode positionally: peel the
-            # last column's digit off with divmod, right to left.
-            remaining = aggregate.keys
-            digit_columns = []
-            for size in reversed(aggregate.sizes):
-                digit_columns.append(remaining % size)
-                remaining = remaining // size
-            digit_columns.reverse()
-            return {
-                tuple(column_dict.values[int(column[i])]
-                      for column_dict, column in zip(dicts, digit_columns)):
-                int(aggregate.totals[i])
-                for i in range(len(aggregate.keys))
-            }
-        except ColumnarFallback:
-            pass
-    key_of = _row_getter(positions)
-    counts: Dict[Row, int] = {}
-    get = counts.get
-    for row in relation:
-        key = key_of(row)
-        counts[key] = get(key, 0) + 1
-    return counts
 
 
 def join_project(parts: Iterable[SubstitutionSet],

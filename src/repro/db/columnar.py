@@ -16,8 +16,7 @@ encoding buys:
   :class:`Frame` workspace runs selection masks, code-space hash joins,
   semijoins as key-set membership scans, and group-counts entirely over
   int64 arrays.  The compiled execution tier
-  (:mod:`repro.counting.compile`) and the backend-dispatching operators
-  in :mod:`repro.db.algebra` build on these kernels;
+  (:mod:`repro.counting.compile`) builds on these kernels;
 * **cheap pickling** — a maintainer checkpoint stores dictionaries
   plus raw code bytes, never a materialized row set.
 

@@ -69,7 +69,7 @@ from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tup
 
 from ..collector import collector_paused
 from ..consistency.delta import DeltaReducer
-from ..counting.compile import bag_witness_counts
+from ..counting.compile import _lower_bag_join, bag_witness_counts
 from ..db.algebra import _row_getter
 from ..db.database import Database
 from ..db.relation import Relation
@@ -220,44 +220,16 @@ class _DeltaPlan:
     def __init__(self, seed_schema: Tuple[Variable, ...],
                  part_schemas: Sequence[Tuple[Variable, ...]],
                  keep: FrozenSet[Variable]):
-        pending = sorted(range(len(part_schemas)),
-                         key=lambda i: (len(part_schemas[i]), i))
-        bound = set(seed_schema)
-        ordered: List[int] = []
-        while pending:
-            position = next(
-                (p for p, slot in enumerate(pending)
-                 if bound & set(part_schemas[slot])), 0,
-            )
-            slot = pending.pop(position)
-            ordered.append(slot)
-            bound |= set(part_schemas[slot])
-        schema = seed_schema
-        steps = []
-        for rank, slot in enumerate(ordered):
-            part_schema = part_schemas[slot]
-            part_vars = set(part_schema)
-            needed = set(keep)
-            for later in ordered[rank + 1:]:
-                needed.update(part_schemas[later])
-            shared = tuple(v for v in schema if v in part_vars)
-            part_index = {v: i for i, v in enumerate(part_schema)}
-            schema_index = {v: i for i, v in enumerate(schema)}
-            combined = dict(schema_index)
-            offset = len(schema)
-            for i, v in enumerate(part_schema):
-                combined.setdefault(v, offset + i)
-            out_schema = tuple(sorted(
-                (set(schema) | part_vars) & needed, key=lambda v: v.name
-            ))
-            steps.append((
-                slot,
-                tuple(part_index[v] for v in shared),
-                _row_getter(tuple(schema_index[v] for v in shared)),
-                _row_getter(tuple(combined[v] for v in out_schema)),
-            ))
-            schema = out_schema
-        self._steps = tuple(steps)
+        # The compiled tier's bag-join lowering, forced to start from
+        # the seed: fold part ``i + 1`` is ``part_schemas[i]``.
+        _, folds, schema = _lower_bag_join(
+            (seed_schema, *part_schemas), keep, start=0)
+        self._steps = tuple(
+            (step.part - 1, step.part_positions,
+             _row_getter(step.key_positions),
+             _row_getter(step.out_positions))
+            for step in folds
+        )
         wanted = tuple(v for v in schema if v in keep)
         self._final = (None if wanted == schema else _row_getter(
             tuple({v: i for i, v in enumerate(schema)}[v] for v in wanted)

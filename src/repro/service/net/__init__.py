@@ -13,10 +13,11 @@ SessionShard` workers to first-class network services:
 * :mod:`~repro.service.net.client` — :class:`ShardClient` (framed
   request/response with timeouts and capped-backoff retries) and
   :class:`RemoteShard` (one session shard on a server, as
-  :class:`~repro.service.router.ShardWorker` drives it).
-* :mod:`~repro.service.net.directory` — :class:`ShardDirectory`, the
-  control plane assigning databases to addresses with graceful handoff
-  and crash failover built on data-only checkpoint snapshots.
+  :class:`~repro.service.router.ShardWorker` drives it).  A remote
+  shard keeps its databases' recovery material, so the ``tcp``
+  :class:`~repro.service.router.MultiWriterSession` — the fabric's one
+  client — hands lanes off between servers and fails them over onto
+  standbys, from data-only checkpoint snapshots.
 * :mod:`~repro.service.net.chaos` — :class:`FaultyTransport`, the
   deterministic fault-injection proxy the tests and ``--chaos``
   benchmarks drive.
@@ -39,7 +40,6 @@ from .client import (
     default_shard_addrs,
     parse_shard_addrs,
 )
-from .directory import ShardDirectory
 from .frames import (
     HEADER_SIZE,
     MAGIC,
@@ -80,7 +80,6 @@ __all__ = [
     "RemoteShard",
     "RemoteShardError",
     "ShardClient",
-    "ShardDirectory",
     "ShardServer",
     "ShardServerProcess",
     "TransportError",

@@ -14,7 +14,10 @@ under a fresh id, up to a bounded patience.
 :class:`RemoteShard` gives one server-side shard the interface of a
 local :class:`~repro.service.shard.SessionShard` (``execute``/
 ``stats``/``close``), so :class:`~repro.service.router.ShardWorker`
-drives ``tcp`` shards exactly like ``thread`` ones.
+drives ``tcp`` shards exactly like ``thread`` ones.  It also keeps its
+databases' recovery material (origin plus journal of acknowledged
+updates), from which it fails over off a dead server and hands off to
+another one.
 """
 
 from __future__ import annotations
@@ -23,11 +26,13 @@ import os
 import socket
 import time
 import uuid
-from typing import List, Optional
+from typing import Callable, Dict, List, Optional
 
+from ...dynamic.updates import Update
 from ...envknobs import env_float, env_int
-from ..router import ShardSaturatedError
-from ..session import SessionJob
+from ...exceptions import ReproError
+from ..router import SessionRouter, ShardSaturatedError
+from ..session import AttachDatabase, SessionJob, UpdateRequest
 from .frames import (
     FrameDecoder,
     FrameError,
@@ -51,6 +56,11 @@ DEFAULT_RETRIES = 4
 #: Exponential-backoff schedule between transport retries.
 BACKOFF_BASE_MS = 25.0
 BACKOFF_CAP_MS = 1_000.0
+
+#: Acknowledged updates a remote shard journals per database before it
+#: re-bases the database on a fresh checkpoint (bounding both the
+#: client's recovery memory and a failover's replay).
+JOURNAL_LIMIT = 4096
 
 
 def default_net_timeout_ms() -> float:
@@ -95,7 +105,7 @@ class ShardClient:
 
     Not thread-safe — callers serialize (a
     :class:`~repro.service.router.ShardWorker` confines each
-    :class:`RemoteShard`'s client, the directory confines its own).
+    :class:`RemoteShard`, and so its client, to one lane).
     """
 
     def __init__(self, address: str, timeout_ms: Optional[float] = None,
@@ -259,24 +269,49 @@ class ShardClient:
 
 
 class RemoteShard:
-    """One session-namespaced shard on a shard server.
+    """One session-namespaced shard on a shard server, recoverable.
 
     The first operation lazily sends a ``configure`` request creating
     the shard with this session's maintenance knobs; ``close`` releases
     it server-side (the *server* stays up — it belongs to the fleet,
     not to one session).  Not thread-safe: a
-    :class:`~repro.service.router.ShardWorker` confines it.
+    :class:`~repro.service.router.ShardWorker` confines it, and that
+    lane is the only thread touching its recovery material.
+
+    The material is kept per database: the *origin* (the spec of its
+    acknowledged attach, serialized once, or the last checkpoint taken)
+    plus the *journal* of updates acknowledged since.  A journal that
+    reaches :data:`JOURNAL_LIMIT` is re-based on a fresh checkpoint.
+    With *replacement_for* given (a callable mapping a dead address to
+    the address taking over, or ``None``), a job that fails with a
+    :class:`~repro.service.net.frames.TransportError` moves the shard
+    to the replacement, rebuilds every database there from its origin
+    plus journal, and is resubmitted once.  The failed job was never
+    acknowledged, so it is in no journal: exactly-once holds with
+    respect to the rebuilt state.  :meth:`handoff` moves the shard to a
+    live address from fresh checkpoints instead.
     """
 
     def __init__(self, address: str, shard: str = "shard0",
                  config: Optional[dict] = None,
                  timeout_ms: Optional[float] = None,
-                 retries: Optional[int] = None):
-        self._client = ShardClient(address, timeout_ms=timeout_ms,
-                                   retries=retries)
-        self.address = address
+                 retries: Optional[int] = None,
+                 replacement_for: Optional[
+                     Callable[[str], Optional[str]]] = None):
+        self._timeout_ms = timeout_ms
+        self._retries = retries
+        self._replacement_for = replacement_for
         self.shard = shard
         self._config = dict(config or {})
+        self._origins: Dict[str, dict] = {}
+        self._journals: Dict[str, List[Update]] = {}
+        self.truncations = 0
+        self._connect(address)
+
+    def _connect(self, address: str) -> None:
+        self._client = ShardClient(address, timeout_ms=self._timeout_ms,
+                                   retries=self._retries)
+        self.address = address
         self._configured = False
 
     def _ensure_configured(self) -> None:
@@ -284,13 +319,127 @@ class RemoteShard:
             self._client.configure(self.shard, self._config)
             self._configured = True
 
-    def execute(self, job: SessionJob):
+    def _submit(self, job: SessionJob, wire: Optional[dict]):
         self._ensure_configured()
-        return self._client.submit_job(self.shard, job)
+        return self._client.submit_job(self.shard, job, wire_job=wire)
+
+    def execute(self, job: SessionJob):
+        # An attach is serialized once: the spec it ships is also its
+        # origin.  Other jobs serialize per attempt (a count's spec
+        # carries its queue wait as of sending).
+        wire = job_to_wire(job) if isinstance(job, AttachDatabase) else None
+        try:
+            result = self._submit(job, wire)
+        except TransportError:
+            if self._replacement_for is None:
+                raise
+            self._fail_over(SessionRouter.database_of(job))
+            result = self._submit(job, wire)
+        self._record(job, wire)
+        return result
+
+    def _record(self, job: SessionJob, wire: Optional[dict]) -> None:
+        """Keep an acknowledged job as recovery material."""
+        if wire is not None:
+            self._origins[job.name] = {
+                "database": job.name, "relations": wire["relations"],
+                "total_tuples": job.database.total_tuples(),
+            }
+            self._journals[job.name] = []
+        elif isinstance(job, UpdateRequest):
+            journal = self._journals.setdefault(job.database, [])
+            journal.append(job.update)
+            if len(journal) >= JOURNAL_LIMIT:
+                self._rebase(job.database)
+
+    def _rebase(self, database: str) -> None:
+        """Replace *database*'s origin and journal by a fresh checkpoint.
+
+        A transport failure leaves the old origin and the longer
+        journal, still a complete recovery recipe; the next
+        acknowledged update tries again.
+        """
+        try:
+            checkpoint = self._client.checkpoint(self.shard, database)
+        except TransportError:
+            return
+        self._origins[database] = checkpoint
+        self._journals[database] = []
+        self.truncations += 1
+
+    def _rebuild(self) -> None:
+        """Restore every database on the current address from its
+        origin, then replay its journal in acknowledgement order."""
+        self._ensure_configured()
+        for database, origin in self._origins.items():
+            self._client.restore(self.shard, database, origin)
+            for update in self._journals[database]:
+                self._client.submit_job(self.shard,
+                                        UpdateRequest(database, update))
+
+    def _fail_over(self, database: str) -> None:
+        """Move this shard off its dead address and rebuild it there."""
+        dead = self.address
+        if database not in self._origins:
+            raise TransportError(
+                f"shard server {dead} died before database {database!r} "
+                f"recorded an origin checkpoint"
+            )
+        replacement = self._replacement_for(dead)
+        if replacement is None:
+            raise TransportError(
+                f"shard server {dead} died and no standby or surviving "
+                f"primary is available"
+            )
+        self._client.close()
+        # Moved before the rebuild: should the replacement die too, the
+        # next job fails over from it, from the same material.
+        self._connect(replacement)
+        self._rebuild()
+
+    def handoff(self, database: str, to_address: str) -> dict:
+        """Move this shard, with every database on it, to *to_address*.
+
+        Checkpoints each database here, restores them there and
+        releases the source copy.  The fresh checkpoints hold every
+        acknowledged update, so they become the origins and the
+        journals empty: nothing is replayed, lost or doubled.  Returns
+        the move's provenance; ``paused_s`` is the whole
+        checkpoint-ship-restore window.
+        """
+        started = time.monotonic()
+        source = self.address
+        if database not in self._origins:
+            raise ReproError(f"database {database!r} is not attached")
+        move = {"database": database, "from": source, "to": to_address,
+                "moved": to_address != source}
+        if not move["moved"]:
+            return {**move, "paused_s": 0.0}
+        checkpoints = {name: self._client.checkpoint(self.shard, name)
+                       for name in self._origins}
+        self._origins = checkpoints
+        self._journals = {name: [] for name in checkpoints}
+        left = self._client
+        self._connect(to_address)
+        try:
+            self._rebuild()
+        except BaseException:
+            _release_quietly(self._client, self.shard)
+            self._client, self.address, self._configured = left, source, True
+            raise
+        _release_quietly(left, self.shard)
+        return {**move,
+                "total_tuples": sum(checkpoint["total_tuples"]
+                                    for checkpoint in checkpoints.values()),
+                "paused_s": time.monotonic() - started}
 
     def stats(self) -> dict:
         self._ensure_configured()
-        return self._client.stats(self.shard)
+        stats = self._client.stats(self.shard)
+        stats["truncations"] = self.truncations
+        stats["journal_depths"] = {database: len(journal) for database,
+                                   journal in self._journals.items()}
+        return stats
 
     def close(self) -> None:
         try:
@@ -298,3 +447,14 @@ class RemoteShard:
                 self._client.release([self.shard])
         finally:
             self._client.close()
+
+
+def _release_quietly(client: ShardClient, shard: str) -> None:
+    """Release *shard* on *client*'s server if it still answers, then
+    close the client (a dead server has nothing left to release)."""
+    try:
+        client.release([shard])
+    except (ReproError, ValueError):
+        pass
+    finally:
+        client.close()

@@ -28,7 +28,10 @@ Shards come in two flavours (``shard_mode``), both driven by one
   driving a session-namespaced shard on a
   :class:`~repro.service.net.server.ShardServer` over the socket
   fabric: real parallelism when the servers run in their own
-  processes (``python -m repro shardserver``).
+  processes (``python -m repro shardserver``).  Each remote shard keeps
+  its databases' recovery material, so a lane whose server dies fails
+  over to a standby (or a surviving primary), and
+  :meth:`MultiWriterSession.handoff` moves a lane to another server.
 
 The flavour follows from the inputs: ``tcp`` when ``shard_addrs=`` or
 ``$REPRO_SHARD_ADDRS`` names shard servers, ``thread`` otherwise (the
@@ -279,6 +282,11 @@ class MultiWriterSession:
         raising :class:`ShardSaturatedError` with a ``retry_after_ms``
         hint (queue depth times the shard's smoothed completion
         latency).  ``None`` (the default) admits unboundedly.
+    standbys:
+        Spare shard server addresses of ``tcp`` shards.  When a server
+        stops answering, the session picks its replacement once — the
+        first unused standby, else a surviving primary — and every lane
+        that was on it moves there (see :meth:`_replacement_for`).
     """
 
     def __init__(self, databases: Optional[Dict[str, Database]] = None,
@@ -289,7 +297,8 @@ class MultiWriterSession:
                  maintainer_budget_bytes=BUDGET_FROM_ENV,
                  maintainer_spill_dir: Optional[str] = None,
                  max_pending: Optional[int] = None,
-                 shard_addrs: Optional[Sequence[str]] = None):
+                 shard_addrs: Optional[Sequence[str]] = None,
+                 standbys: Sequence[str] = ()):
         if shard_mode not in (None, *SHARD_MODES):
             raise ValueError(f"unknown shard mode {shard_mode!r}; "
                              f"expected one of {SHARD_MODES}")
@@ -319,8 +328,9 @@ class MultiWriterSession:
             self.shards = (int(shards) if shards
                            else max(env_int(SESSION_SHARDS_ENV, 0), 0)
                            or len(self.shard_addrs))
-        elif shard_addrs:
-            raise ValueError("shard_mode='thread' takes no shard_addrs")
+        elif shard_addrs or standbys:
+            raise ValueError(
+                "shard_mode='thread' takes no shard_addrs or standbys")
         else:
             self.shard_addrs = None
             self.shards = int(shards) if shards else default_shards()
@@ -332,7 +342,12 @@ class MultiWriterSession:
         self._router = SessionRouter(self.shards)
         self._handles: List[ShardWorker] = []
         self._closed = False
-        self._close_lock = threading.Lock()
+        self._lock = threading.Lock()
+        self._standbys = list(standbys)
+        self._live = list(self.shard_addrs or ())
+        self._replacements: Dict[str, str] = {}
+        self.failovers = 0
+        self.handoffs = 0
         if shard_mode == "tcp":
             from .net import RemoteShard
             self.plan_cache = None  # server-side caches; see stats()
@@ -347,6 +362,7 @@ class MultiWriterSession:
                     address, shard=f"{self.shard_namespace}/shard{index}",
                     config=(config if spill is None
                             else {**config, "maintainer_spill_dir": spill}),
+                    replacement_for=self._replacement_for,
                 )
         else:
             if plan_cache is None:
@@ -391,6 +407,62 @@ class MultiWriterSession:
     def shard_of(self, database_name: str) -> int:
         """The shard index owning *database_name*."""
         return self._router.shard_of(database_name)
+
+    def address_of(self, database_name: str) -> Optional[str]:
+        """The shard server address now serving *database_name*'s lane
+        (``None`` for thread shards)."""
+        return getattr(self._handles[self.shard_of(database_name)].target,
+                       "address", None)
+
+    def _replacement_for(self, dead: str) -> Optional[str]:
+        """The address taking over from the dead server *dead*.
+
+        Picked once per dead address, under the session lock, so every
+        lane that was on it moves to the same place: the first unused
+        standby, else a surviving primary; ``None`` when neither is
+        left.  A replacement that died in turn resolves to its own
+        replacement.  Called on the failing lane.
+        """
+        with self._lock:
+            if dead not in self._replacements:
+                candidates = [
+                    address for address in
+                    [a for a in self._standbys if a not in self._live]
+                    + self._live
+                    if address != dead and address not in self._replacements
+                ]
+                if not candidates:
+                    return None
+                if candidates[0] not in self._live:
+                    self._live.append(candidates[0])
+                self._replacements[dead] = candidates[0]
+                self.failovers += 1
+            replacement = self._replacements[dead]
+            while replacement in self._replacements:
+                replacement = self._replacements[replacement]
+            return replacement
+
+    def handoff(self, database_name: str, to_address: str) -> dict:
+        """Move *database_name*'s lane to the shard server at
+        *to_address*, with every database on that lane.
+
+        Runs on the lane, so queued jobs wait out the pause and resume
+        against the new owner: none is lost, reordered or doubled.
+        Returns the move's provenance (``paused_s`` is the
+        checkpoint-ship-restore window); see
+        :meth:`~repro.service.net.client.RemoteShard.handoff`.
+        """
+        if self.shard_mode != "tcp":
+            raise ReproError("handoff moves tcp shards only")
+        worker = self._handles[self.shard_of(database_name)]
+        move = worker.call(worker.target.handoff, database_name,
+                           to_address).result()
+        if move["moved"]:
+            with self._lock:
+                self.handoffs += 1
+                if to_address not in self._live:
+                    self._live.append(to_address)
+        return move
 
     def submit(self, job: SessionJob) -> Future:
         """Enqueue *job* on its database's shard; thread-safe.
@@ -525,7 +597,7 @@ class MultiWriterSession:
             key: sum(shard.get(key, 0) for shard in per_shard)
             for key in ("maintained_counts", "reduced_counts",
                         "engine_counts", "compiled_counts",
-                        "updates_applied")
+                        "updates_applied", "truncations")
         }
         databases = sorted(
             name for shard in per_shard for name in shard["databases"]
@@ -545,11 +617,13 @@ class MultiWriterSession:
                                         for handle in self._handles),
             "close_errors": sum(handle.close_errors
                                 for handle in self._handles),
+            "failovers": self.failovers,
+            "handoffs": self.handoffs,
             "per_shard": per_shard,
         }
 
     def close(self) -> None:
-        with self._close_lock:
+        with self._lock:
             if self._closed:
                 return
             self._closed = True

@@ -176,7 +176,7 @@ class SessionShard:
 
     # ------------------------------------------------------------------
     # Handoff checkpoints (the networked fabric ships these between
-    # shard servers; see repro.service.net.directory)
+    # shard servers; see repro.service.net.client.RemoteShard)
     # ------------------------------------------------------------------
     def checkpoint_database(self, name: str) -> dict:
         """A wire-shippable snapshot of the named database.

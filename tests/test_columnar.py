@@ -7,9 +7,9 @@ Four layers, tested bottom-up:
   alias sharing, pickling, arity-0 and numeric-equality edge cases;
 * backend selection — ``make_relation`` / ``Database.from_dict`` /
   ``with_backend`` / ``$REPRO_BACKEND`` / ``set_default_backend``;
-* the vectorized algebra operators — join / semijoin / projection
-  counts agree with the tuple path on random inputs, in every backend
-  pairing (columnar, tuple, mixed);
+* the vectorized frame kernels — ``join_frames`` / ``semijoin_frames`` /
+  ``KeyAggregate.over`` agree with plain tuple algorithms on random
+  inputs;
 * the differential harness — ``columnar == tuple == brute force`` for
   the full engine (auto and compiled) on a random corpus, and through
   the sharded session in every shard-worker flavor including ``tcp``
@@ -20,28 +20,28 @@ from __future__ import annotations
 
 import pickle
 import random
+from collections import Counter
 
 import pytest
 
 from repro.counting.brute_force import count_brute_force
 from repro.counting.engine import count_answers
 from repro.db import Database
-from repro.db.algebra import (
-    relation_join,
-    relation_project_counts,
-    relation_semijoin,
-)
 from repro.db.columnar import (
     BACKENDS,
     ColumnarRelation,
+    KeyAggregate,
     columnar_kernels_available,
     database_backend,
     default_backend,
+    identity_frame,
+    join_frames,
     make_relation,
+    semijoin_frames,
     set_default_backend,
 )
 from repro.db.relation import Relation
-from repro.exceptions import ArityMismatchError, SchemaError
+from repro.exceptions import ArityMismatchError
 from repro.query import parse_query
 
 ROWS = [(1, "a"), (1, "b"), (2, "a"), (3, "c"), (1, "a")]  # one duplicate
@@ -209,69 +209,89 @@ def random_rows(rng, arity, n, domain):
             for _ in range(n)}
 
 
+def frame_rows(frame) -> set:
+    """A frame's rows, decoded through its column dictionaries."""
+    return {tuple(column_dict.values[int(column[i])]
+                  for column_dict, column in zip(frame.dicts, frame.cols))
+            for i in range(frame.n)}
+
+
 @needs_kernels
 class TestVectorizedAlgebra:
+    """The code-space frame kernels against plain tuple algorithms."""
+
     @pytest.mark.parametrize("seed", range(6))
     def test_join_parity_across_backend_pairings(self, seed):
         rng = random.Random(seed)
         left_rows = random_rows(rng, 2, 30, 8)
         right_rows = random_rows(rng, 2, 30, 8)
-        on = ((1, 0),)
-        backends = {
-            "tuple": (Relation("l", 2, left_rows),
-                      Relation("r", 2, right_rows)),
-            "columnar": (ColumnarRelation("l", 2, left_rows),
-                         ColumnarRelation("r", 2, right_rows)),
-            "mixed": (ColumnarRelation("l", 2, left_rows),
-                      Relation("r", 2, right_rows)),
+        # l(a, b) |><| r(b, c) on l.1 = r.0, keeping (a, b, c).
+        joined = join_frames(
+            identity_frame(ColumnarRelation("l", 2, left_rows)),
+            identity_frame(ColumnarRelation("r", 2, right_rows)),
+            (1,), (0,), (0, 1, 3), 2,
+        )
+        assert frame_rows(joined) == {
+            (a, b, c) for a, b in left_rows
+            for other, c in right_rows if other == b
         }
-        results = {label: relation_join(left, right, on)
-                   for label, (left, right) in backends.items()}
-        rows = {label: result.rows for label, result in results.items()}
-        assert rows["columnar"] == rows["tuple"] == rows["mixed"]
-        assert type(results["columnar"]) is ColumnarRelation
-        assert type(results["tuple"]) is Relation
-        # A mixed pair takes the tuple path; the result keeps the
-        # *left* operand's backend.
-        assert type(results["mixed"]) is ColumnarRelation
 
     @pytest.mark.parametrize("seed", range(6))
     def test_semijoin_parity_and_identity_shortcut(self, seed):
         rng = random.Random(100 + seed)
         left_rows = random_rows(rng, 2, 25, 6)
         right_rows = random_rows(rng, 1, 10, 6)
-        tuple_left = Relation("l", 2, left_rows)
-        columnar_left = ColumnarRelation("l", 2, left_rows)
-        tuple_right = Relation("r", 1, right_rows)
-        columnar_right = ColumnarRelation("r", 1, right_rows)
-        expected = relation_semijoin(tuple_left, tuple_right, ((0, 0),))
-        filtered = relation_semijoin(columnar_left, columnar_right,
-                                     ((0, 0),))
-        assert filtered.rows == expected.rows
-        # Unfiltered: the operand itself comes back, caches intact.
+        frame = identity_frame(ColumnarRelation("l", 2, left_rows))
+        filtered = semijoin_frames(
+            frame, identity_frame(ColumnarRelation("r", 1, right_rows)),
+            (0,), (0,))
+        assert frame_rows(filtered) == {
+            row for row in left_rows if (row[0],) in right_rows}
+        # Unfiltered: the frame itself comes back, caches intact.
         everything = ColumnarRelation("all", 1, [(v,) for v in range(6)])
-        assert relation_semijoin(columnar_left, everything,
-                                 ((0, 0),)) is columnar_left
+        assert semijoin_frames(frame, identity_frame(everything),
+                               (0,), (0,)) is frame
 
-    def test_semijoin_requires_key_positions(self):
-        left, right = pair()
-        with pytest.raises(SchemaError):
-            relation_semijoin(right, left, ())
+    def test_semijoin_without_key_positions_gates_on_the_part(self):
+        frame = identity_frame(ColumnarRelation("l", 2, ROWS))
+        part = identity_frame(ColumnarRelation("r", 1, [(1,)]))
+        empty = identity_frame(ColumnarRelation("e", 1, []))
+        assert semijoin_frames(frame, part, (), ()) is frame
+        assert semijoin_frames(frame, empty, (), ()).n == 0
 
     @pytest.mark.parametrize("seed", range(6))
     def test_project_counts_parity(self, seed):
         rng = random.Random(200 + seed)
         rows = random_rows(rng, 3, 40, 5)
-        tuple_rel = Relation("r", 3, rows)
-        columnar = ColumnarRelation("r", 3, rows)
+        frame = identity_frame(ColumnarRelation("r", 3, rows))
         for positions in ((0,), (2, 0), (1, 1), ()):
-            assert relation_project_counts(columnar, positions) == \
-                relation_project_counts(tuple_rel, positions), positions
+            dicts = [frame.dicts[p] for p in positions]
+            aggregate = KeyAggregate.over(
+                [frame.cols[p] for p in positions], dicts, frame.n)
+            # Strict mixed-radix codes decode positionally: peel the
+            # last column's digit off with divmod, right to left.
+            keys, digits = aggregate.keys, []
+            for size in reversed(aggregate.sizes):
+                digits.append(keys % size)
+                keys = keys // size
+            digits.reverse()
+            decoded = {
+                tuple(column_dict.values[int(column[i])]
+                      for column_dict, column in zip(dicts, digits)):
+                int(aggregate.totals[i])
+                for i in range(len(aggregate.keys))
+            }
+            assert decoded == Counter(
+                tuple(row[p] for p in positions) for row in rows
+            ), positions
 
     def test_join_with_disjoint_dictionaries_is_empty(self):
-        left = ColumnarRelation("l", 1, [(1,), (2,)])
-        right = ColumnarRelation("r", 1, [("x",), ("y",)])
-        assert len(relation_join(left, right, ((0, 0),))) == 0
+        joined = join_frames(
+            identity_frame(ColumnarRelation("l", 1, [(1,), (2,)])),
+            identity_frame(ColumnarRelation("r", 1, [("x",), ("y",)])),
+            (0,), (0,), (0,), 1,
+        )
+        assert joined.n == 0
 
 
 # ----------------------------------------------------------------------

@@ -17,8 +17,8 @@ the same streams through a ``shard_mode='tcp'``
 :class:`~repro.service.net.ShardServer`\\ s must agree bit-for-bit with
 thread shards and single-writer replay — including with a
 fault-injection proxy dropping, duplicating, corrupting, and delaying
-frames (exactly-once under retries), and across a mid-stream server kill recovered by
-:class:`~repro.service.net.ShardDirectory` failover plus a graceful
+frames (exactly-once under retries), and across a mid-stream server kill
+recovered by the session's failover onto a standby plus a graceful
 handoff, with no job lost or doubled.
 
 The cross-shard commutation property (ISSUE 4) rides the same harness:
@@ -64,7 +64,6 @@ from repro.service import (
 from repro.service.net import (
     FaultPlan,
     FaultyTransport,
-    ShardDirectory,
     ShardServer,
 )
 from repro.workloads.graph_patterns import heavy_triangle_database
@@ -377,12 +376,16 @@ class TestDifferentialTCPLeg:
                    + counters["corrupted"]
                    for counters in injected) >= 1
 
-    def test_midstream_kill_then_handoff_loses_and_doubles_nothing(self):
+    def test_midstream_kill_then_handoff_loses_and_doubles_nothing(
+            self, repro_env_sandbox):
         """One stream, three owners: the primary dies mid-stream
-        (directory failover rebuilds from origin + journal on the
+        (the session's failover rebuilds from origin + journal on the
         standby), then the database is gracefully handed to a third
         server — and every count still matches the from-scratch
         oracle."""
+        import os
+        os.environ["REPRO_NET_TIMEOUT_MS"] = "300"
+        os.environ["REPRO_NET_RETRIES"] = "1"
         rng = random.Random(23)
         database = random_database(rng)
         jobs, expected = [AttachDatabase("main", database)], [None]
@@ -397,27 +400,27 @@ class TestDifferentialTCPLeg:
         with ShardServer(shards=1) as standby, \
                 ShardServer(shards=1) as third:
             doomed = ShardServer(shards=1)
-            directory = ShardDirectory([doomed.address],
-                                       standbys=[standby.address],
-                                       timeout_ms=300, retries=1)
+            session = MultiWriterSession(shards=1,
+                                         shard_addrs=[doomed.address],
+                                         standbys=[standby.address])
             third_of = len(jobs) // 3
-            futures = [directory.submit(job) for job in jobs[:third_of]]
+            futures = [session.submit(job) for job in jobs[:third_of]]
             [future.result() for future in futures]
             doomed.kill()  # abrupt: all server-side state is gone
-            futures += [directory.submit(job)
+            futures += [session.submit(job)
                         for job in jobs[third_of:2 * third_of]]
             [future.result() for future in futures]
-            move = directory.handoff("main", third.address)
+            move = session.handoff("main", third.address)
             assert move["moved"] and move["to"] == third.address
-            futures += [directory.submit(job)
+            futures += [session.submit(job)
                         for job in jobs[2 * third_of:]]
             observed = [getattr(future.result(), "count", None)
                         for future in futures]
             assert observed == expected
-            stats = directory.stats()
+            stats = session.stats()
             assert stats["failovers"] == 1 and stats["handoffs"] == 1
-            assert stats["assignment"]["main"] == third.address
-            directory.close()
+            assert session.address_of("main") == third.address
+            session.close()
             doomed.close()
 
 

@@ -57,7 +57,6 @@ from repro.service.net import (
     FrameError,
     RemoteShard,
     ShardClient,
-    ShardDirectory,
     ShardServer,
     TransportError,
     encode_frame,
@@ -867,15 +866,22 @@ class TestSharedPlanDirectory:
 
 
 # ----------------------------------------------------------------------
-# The control plane: handoff and failover
+# The control plane: handoff and failover through the TCP session
 # ----------------------------------------------------------------------
-class TestShardDirectory:
-    def stream(self, rounds: int = 4) -> list:
-        jobs = [AttachDatabase("db", small_db()),
-                CountRequest(PATH, "db", label="base")]
+def short_net_timeouts(timeout_ms: int = 300, retries: int = 1) -> None:
+    """Fail a dead server fast (inside ``repro_env_sandbox``)."""
+    os.environ["REPRO_NET_TIMEOUT_MS"] = str(timeout_ms)
+    os.environ["REPRO_NET_RETRIES"] = str(retries)
+
+
+class TestFabricRecovery:
+    def stream(self, rounds: int = 4, database: str = "db") -> list:
+        jobs = [AttachDatabase(database, small_db()),
+                CountRequest(PATH, database, label="base")]
         for index in range(rounds):
-            jobs.append(UpdateRequest("db", Insert("r", (50 + index, 10))))
-            jobs.append(CountRequest(PATH, "db", label=f"r{index}"))
+            jobs.append(UpdateRequest(database,
+                                      Insert("r", (50 + index, 10))))
+            jobs.append(CountRequest(PATH, database, label=f"r{index}"))
         return jobs
 
     def expected(self, rounds: int = 4) -> list:
@@ -883,102 +889,98 @@ class TestShardDirectory:
             return [getattr(result, "count", None)
                     for result in session.run_stream(self.stream(rounds))]
 
+    @staticmethod
+    def counts(session, jobs) -> list:
+        futures = [session.submit(job) for job in jobs]
+        return [getattr(future.result(), "count", None)
+                for future in futures]
+
     def test_graceful_handoff_loses_and_doubles_nothing(self):
         with ShardServer(shards=1) as source, ShardServer(shards=1) as target:
-            directory = ShardDirectory([source.address])
+            session = MultiWriterSession(shards=1,
+                                         shard_addrs=[source.address])
             jobs = self.stream()
-            futures = [directory.submit(job) for job in jobs[:4]]
-            [future.result() for future in futures]
-            move = directory.handoff("db", target.address)
+            self.counts(session, jobs[:4])
+            move = session.handoff("db", target.address)
             assert move["moved"] and move["to"] == target.address
-            results = [future.result()
-                       for future in (directory.submit(job)
-                                      for job in jobs[4:])]
-            counts = [getattr(result, "count", None)
-                      for result in results]
-            assert counts == self.expected()[4:]
-            assert directory.stats()["handoffs"] == 1
-            directory.close()
+            assert self.counts(session, jobs[4:]) == self.expected()[4:]
+            assert session.stats()["handoffs"] == 1
+            session.close()
+            # The source copy went with the handoff.
+            assert source.shard_names() == ["shard0"]
 
     def test_handoff_midstream_under_concurrent_submissions(self):
         with ShardServer(shards=1) as source, ShardServer(shards=1) as target:
-            directory = ShardDirectory([source.address])
+            session = MultiWriterSession(shards=1,
+                                         shard_addrs=[source.address])
             jobs = self.stream(rounds=8)
-            futures = [directory.submit(job) for job in jobs[:6]]
+            futures = [session.submit(job) for job in jobs[:6]]
             # Queue the handoff on the lane while traffic is in flight,
             # then keep submitting — ordering must hold throughout.
-            import threading
             mover = threading.Thread(
-                target=directory.handoff, args=("db", target.address))
+                target=session.handoff, args=("db", target.address))
             mover.start()
-            futures += [directory.submit(job) for job in jobs[6:]]
+            futures += [session.submit(job) for job in jobs[6:]]
             mover.join()
             counts = [getattr(future.result(), "count", None)
                       for future in futures]
             assert counts == self.expected(rounds=8)
-            assert directory.assignment()["db"] == target.address
-            directory.close()
+            assert session.address_of("db") == target.address
+            session.close()
 
-    def test_kill_triggers_failover_with_journal_replay(self):
+    def test_kill_triggers_failover_with_journal_replay(
+            self, repro_env_sandbox):
+        short_net_timeouts()
         with ShardServer(shards=1) as standby:
             doomed = ShardServer(shards=1)
-            directory = ShardDirectory([doomed.address],
-                                       standbys=[standby.address],
-                                       timeout_ms=300, retries=1)
+            session = MultiWriterSession(shards=1,
+                                         shard_addrs=[doomed.address],
+                                         standbys=[standby.address])
             jobs = self.stream(rounds=6)
             expected = self.expected(rounds=6)
-            prefix = [directory.submit(job) for job in jobs[:7]]
-            assert [getattr(f.result(), "count", None)
-                    for f in prefix] == expected[:7]
+            assert self.counts(session, jobs[:7]) == expected[:7]
             doomed.kill()  # mid-stream death, state gone
-            rest = [directory.submit(job) for job in jobs[7:]]
-            counts = [getattr(future.result(), "count", None)
-                      for future in rest]
             # Origin + journal replay rebuilt the exact state: nothing
             # lost (counts match the inline oracle), nothing doubled.
-            assert counts == expected[7:]
-            stats = directory.stats()
-            assert stats["failovers"] == 1
-            assert stats["assignment"]["db"] == standby.address
-            directory.close()
+            assert self.counts(session, jobs[7:]) == expected[7:]
+            assert session.stats()["failovers"] == 1
+            assert session.address_of("db") == standby.address
+            session.close()
             doomed.close()
 
-    def test_journal_truncation_bounds_replay_and_survives_failover(self):
+    def test_journal_truncation_bounds_replay_and_survives_failover(
+            self, repro_env_sandbox, monkeypatch):
+        from repro.service.net import client as client_module
+
+        monkeypatch.setattr(client_module, "JOURNAL_LIMIT", 3)
+        short_net_timeouts()
         with ShardServer(shards=1) as standby:
             doomed = ShardServer(shards=1)
-            directory = ShardDirectory([doomed.address],
-                                       standbys=[standby.address],
-                                       timeout_ms=300, retries=1,
-                                       journal_cap=3)
+            session = MultiWriterSession(shards=1,
+                                         shard_addrs=[doomed.address],
+                                         standbys=[standby.address])
             jobs = self.stream(rounds=8)
             expected = self.expected(rounds=8)
-            prefix = [directory.submit(job) for job in jobs[:13]]
-            assert [getattr(f.result(), "count", None)
-                    for f in prefix] == expected[:13]
-            stats = directory.stats()
-            # Six acknowledged updates under a cap of three: the
-            # directory re-checkpointed (at least) twice and never
-            # holds a full-history journal.
+            assert self.counts(session, jobs[:13]) == expected[:13]
+            stats = session.stats()
+            # Six acknowledged updates under a limit of three: the lane
+            # re-checkpointed (at least) twice and never holds a
+            # full-history journal.
             assert stats["truncations"] >= 2
-            assert stats["journal_depths"]["db"] < 3
-            assert stats["journal_cap"] == 3
+            assert stats["per_shard"][0]["journal_depths"]["db"] < 3
             doomed.kill()  # mid-stream death after truncations
-            rest = [directory.submit(job) for job in jobs[13:]]
-            counts = [getattr(future.result(), "count", None)
-                      for future in rest]
             # The truncated origin subsumes every dropped journal
             # prefix: failover replay is still exact.
-            assert counts == expected[13:]
-            assert directory.stats()["failovers"] == 1
-            directory.close()
+            assert self.counts(session, jobs[13:]) == expected[13:]
+            assert session.stats()["failovers"] == 1
+            session.close()
             doomed.close()
 
-    def test_attach_is_serialized_once_and_still_restores(self,
-                                                          monkeypatch):
-        """The spec an attach ships is its origin snapshot: one
-        serialization per attach, and failover rebuilds from it."""
+    def test_attach_is_serialized_once_and_still_restores(
+            self, repro_env_sandbox, monkeypatch):
+        """The spec an attach ships is its origin: one serialization
+        per attach, and failover rebuilds from it."""
         from repro.service import session as session_module
-        from repro.service.net import directory as directory_module
 
         calls = []
         original = session_module.database_to_dict
@@ -988,40 +990,108 @@ class TestShardDirectory:
             return original(database)
 
         monkeypatch.setattr(session_module, "database_to_dict", counted)
-        monkeypatch.setattr(directory_module, "database_to_dict", counted,
-                            raising=False)
+        short_net_timeouts()
         with ShardServer(shards=1) as standby:
             doomed = ShardServer(shards=1)
-            directory = ShardDirectory([doomed.address],
-                                       standbys=[standby.address],
-                                       timeout_ms=300, retries=1)
+            session = MultiWriterSession(shards=1,
+                                         shard_addrs=[doomed.address],
+                                         standbys=[standby.address])
             jobs = self.stream(rounds=2)
             expected = self.expected(rounds=2)
-            directory.submit(jobs[0]).result()
+            session.submit(jobs[0]).result()
             assert len(calls) == 1
             doomed.kill()  # the origin is all the standby gets
-            counts = [getattr(directory.submit(job).result(), "count", None)
-                      for job in jobs[1:]]
-            assert counts == expected[1:]
-            assert directory.stats()["failovers"] == 1
+            assert self.counts(session, jobs[1:]) == expected[1:]
+            assert session.stats()["failovers"] == 1
             assert len(calls) == 1
-            directory.close()
+            session.close()
             doomed.close()
 
-    def test_journal_cap_must_be_positive(self):
-        with pytest.raises(ValueError, match="journal_cap"):
-            ShardDirectory(["127.0.0.1:1"], journal_cap=0)
+    def test_standbys_and_handoff_need_tcp_shards(self):
+        # The journal limit is a module constant, not an option; the
+        # one recovery option, standbys=, belongs to tcp shards.
+        with pytest.raises(ValueError, match="standbys"):
+            MultiWriterSession(shard_mode="thread",
+                               standbys=["127.0.0.1:1"])
+        with MultiWriterSession({"db": small_db()}, shards=1,
+                                shard_mode="thread") as session:
+            with pytest.raises(ReproError, match="tcp"):
+                session.handoff("db", "127.0.0.1:1")
 
-    def test_failover_without_standby_or_origin_fails_loudly(self):
+    def test_failover_without_standby_or_origin_fails_loudly(
+            self, repro_env_sandbox):
+        short_net_timeouts(timeout_ms=200, retries=0)
         doomed = ShardServer(shards=1)
-        directory = ShardDirectory([doomed.address],
-                                   timeout_ms=200, retries=0)
-        directory.submit(AttachDatabase("db", small_db())).result()
+        session = MultiWriterSession(shards=1, shard_addrs=[doomed.address])
+        session.submit(AttachDatabase("db", small_db())).result()
         doomed.kill()
-        with pytest.raises(TransportError):
-            directory.submit(CountRequest(PATH, "db")).result()
-        directory.close()
+        with pytest.raises(TransportError, match="standby"):
+            session.submit(CountRequest(PATH, "db")).result()
+        # A database with no acknowledged attach has nothing to rebuild.
+        with pytest.raises(TransportError, match="origin"):
+            session.submit(AttachDatabase("fresh", small_db())).result()
+        assert session.stats()["failovers"] == 0
+        session.close()
         doomed.close()
+
+    def test_two_lanes_on_one_dead_server_share_one_standby(
+            self, repro_env_sandbox):
+        """Both lanes of a killed server recover onto the same standby,
+        and the session counts one failover, not one per lane."""
+        short_net_timeouts()
+        router = SessionRouter(2)
+        names = [f"db{index}" for index in range(32)]
+        first = next(n for n in names if router.shard_of(n) == 0)
+        second = next(n for n in names if router.shard_of(n) == 1)
+        streams = [self.stream(rounds=6, database=name)
+                   for name in (first, second)]
+        interleaved = [job for pair in zip(*streams) for job in pair]
+        with CountingSession(maintain=False) as oracle:
+            expected = [getattr(result, "count", None)
+                        for result in oracle.run_stream(interleaved)]
+        with ShardServer(shards=1) as standby:
+            doomed = ShardServer(shards=1)
+            session = MultiWriterSession(shards=2,
+                                         shard_addrs=[doomed.address],
+                                         standbys=[standby.address])
+            half = len(interleaved) // 2
+            assert self.counts(session, interleaved[:half]) == \
+                expected[:half]
+            doomed.kill()
+            assert self.counts(session, interleaved[half:]) == \
+                expected[half:]
+            assert session.stats()["failovers"] == 1
+            assert session.address_of(first) == standby.address
+            assert session.address_of(second) == standby.address
+            session.close()
+            doomed.close()
+
+
+def test_concurrent_lanes_pick_one_replacement_per_dead_server():
+    """Many lanes reporting one dead server at once: one pick, one
+    failover, every lane sent to the same standby."""
+    # Remote shards connect lazily, so nothing listens on these.
+    session = MultiWriterSession(shards=2, shard_addrs=["127.0.0.1:1"],
+                                 standbys=["127.0.0.1:2", "127.0.0.1:3"])
+    picks = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lambda: picks.append(
+            session._replacement_for("127.0.0.1:1"))) for _ in range(16)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+        session.close()
+    assert picks == ["127.0.0.1:2"] * 16
+    assert session.failovers == 1
+    # A dead replacement resolves to its own replacement.
+    assert session._replacement_for("127.0.0.1:2") == "127.0.0.1:3"
+    assert session._replacement_for("127.0.0.1:1") == "127.0.0.1:3"
 
 
 def test_env_sandbox_fixture_restores_knobs(repro_env_sandbox):
